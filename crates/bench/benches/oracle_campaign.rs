@@ -7,7 +7,8 @@
 //! checkpoint-count and storm triggers, plus a clean control):
 //!
 //! * `no_cache`    — every faulty job replays its own golden
-//!   (`--no-golden-cache`): 2 machine-runs per oracle-checked job.
+//!   (`run_job(j, None)`, the uncached reference path): 2 machine-runs
+//!   per oracle-checked job.
 //! * `cached`      — a fresh campaign-wide [`GoldenCache`] per
 //!   iteration (the stock cold-campaign configuration): the first
 //!   faulty job computes the base config's golden, the rest reuse it.
@@ -25,9 +26,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use rebound_core::Scheme;
-use rebound_harness::{
-    run_job_cached, FaultPhase, FaultPlan, GoldenCache, GoldenCtx, Job, RunScale,
-};
+use rebound_harness::{run_job, FaultPhase, FaultPlan, GoldenCache, GoldenCtx, Job, RunScale};
 
 /// The adversarial-shaped slice: one base config, many fault plans.
 fn jobs() -> Vec<Job> {
@@ -69,7 +68,7 @@ fn jobs() -> Vec<Job> {
 /// pass count (consumed via `black_box` so nothing is optimized away).
 fn run_slice(jobs: &[Job], ctx: Option<GoldenCtx<'_>>) -> usize {
     jobs.iter()
-        .map(|j| run_job_cached(j, 1, ctx))
+        .map(|j| run_job(j, ctx))
         .filter(|o| !o.verdict.is_failure())
         .count()
 }

@@ -9,7 +9,7 @@
 //! validates rollback correctness across the configuration matrix.
 
 use rebound_bench::{experiments as e, ExpScale};
-use rebound_harness::{default_jobs, run_campaign, CampaignSpec};
+use rebound_harness::{default_jobs, run_jobs, CampaignSpec};
 use std::time::Instant;
 
 fn main() {
@@ -67,7 +67,7 @@ fn main() {
         "## Recovery validation — differential oracle campaign  [t+{:.0}s]\n",
         t0.elapsed().as_secs_f64()
     );
-    let result = run_campaign(&CampaignSpec::acceptance(), default_jobs());
+    let result = run_jobs(CampaignSpec::acceptance().expand(), default_jobs(), None);
     println!("```");
     print!("{}", result.to_csv());
     println!("```");

@@ -3,9 +3,8 @@
 //!
 //! ```text
 //! rebound-campaign [--spec acceptance|smoke|matrix|adversarial|scale] [--jobs N]
-//!                  [--sim-threads N] [--filter SUBSTR] [--shard I/N]
-//!                  [--store DIR] [--out FILE.csv] [--json FILE.json]
-//!                  [--no-oracle] [--list]
+//!                  [--filter SUBSTR] [--shard I/N] [--store DIR]
+//!                  [--out FILE.csv] [--json FILE.json] [--no-oracle] [--list]
 //! ```
 //!
 //! * `--spec` — which built-in campaign to run (default `acceptance`:
@@ -15,10 +14,6 @@
 //!   matrix across all schemes — 256 and 1024 cores, oracle included).
 //! * `--jobs N` — worker threads (default: `REBOUND_JOBS` or all cores).
 //!   The aggregate CSV/JSON is byte-identical for any `N`.
-//! * `--sim-threads N` — simulation threads per job (default:
-//!   `REBOUND_SIM_THREADS` or 1). At 2+, an oracle-checked job runs its
-//!   golden replay concurrently with the faulty run. Like `--jobs`, the
-//!   output is byte-identical for any value.
 //! * `--filter SUBSTR` — keep only jobs whose label
 //!   (`Scheme/App/c<cores>/s<seed>/<plan>`) or fault-plan detail
 //!   contains the substring. A filter that matches **nothing** is a hard
@@ -30,36 +25,30 @@
 //! * `--store DIR` — content-addressed result store: rows cached under a
 //!   key of each job's semantic identity + code version are loaded
 //!   instead of simulated; misses are simulated and persisted atomically.
-//!   The CSV is byte-identical to a storeless run; stderr reports
-//!   `store: H cached, M recomputed`.
+//!   Golden snapshots persist there too, as `.golden` objects that warm
+//!   goldens across campaigns and shards. The CSV is byte-identical to a
+//!   storeless run; stderr reports `store: H cached, M recomputed`.
 //! * `--out FILE` — write the CSV there (default: stdout).
 //! * `--json FILE` — additionally write the JSON rendering.
 //! * `--no-oracle` — skip golden replays (faster; faulty runs unchecked).
-//! * `--no-golden-cache` — replay every golden fresh instead of sharing
-//!   one memoized snapshot per base config (default on, or
-//!   `REBOUND_NO_GOLDEN_CACHE=1`). The CSV is byte-identical either way;
-//!   the flag exists as an escape hatch and for A/B timing. With the
-//!   cache on, stderr reports `goldens: N computed, M reused (K from
-//!   store)` plus per-base-config resident-snapshot footprints, and a
-//!   `--store` additionally persists snapshots as `.golden` objects that
-//!   warm goldens across campaigns and shards.
 //! * `--list` — print the expanded job labels (with each named plan's
 //!   trigger detail) and exit without running.
+//!
+//! Every faulty job's golden replay is shared campaign-wide by every fault
+//! plan of its base config; stderr reports `goldens: N computed, M reused
+//! (K from store)` plus per-base-config resident-snapshot footprints.
 //!
 //! Exit status is nonzero if any oracle verdict is a failure.
 
 use std::process::ExitCode;
 
-use rebound_harness::{
-    default_golden_cache, default_jobs, default_sim_threads, run_jobs_opts, CampaignSpec, Shard,
-    Store,
-};
+use rebound_harness::{default_jobs, run_jobs, CampaignSpec, Shard, Store};
 
 fn usage() -> ! {
     eprintln!(
         "usage: rebound-campaign [--spec acceptance|smoke|matrix|adversarial|scale] [--jobs N] \
-         [--sim-threads N] [--filter SUBSTR] [--shard I/N] [--store DIR] [--out FILE.csv] \
-         [--json FILE.json] [--no-oracle] [--no-golden-cache] [--list]"
+         [--filter SUBSTR] [--shard I/N] [--store DIR] [--out FILE.csv] [--json FILE.json] \
+         [--no-oracle] [--list]"
     );
     std::process::exit(2);
 }
@@ -67,14 +56,12 @@ fn usage() -> ! {
 fn main() -> ExitCode {
     let mut spec_name = "acceptance".to_string();
     let mut jobs = default_jobs();
-    let mut sim_threads = default_sim_threads();
     let mut filter: Option<String> = None;
     let mut shard: Option<Shard> = None;
     let mut store_dir: Option<String> = None;
     let mut out: Option<String> = None;
     let mut json: Option<String> = None;
     let mut oracle = true;
-    let mut golden_cache = default_golden_cache();
     let mut list = false;
 
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -92,12 +79,6 @@ fn main() -> ExitCode {
                     usage();
                 }
             }
-            "--sim-threads" => {
-                sim_threads = value(&mut i).parse().unwrap_or_else(|_| usage());
-                if sim_threads == 0 {
-                    usage();
-                }
-            }
             "--filter" => filter = Some(value(&mut i)),
             "--shard" => match Shard::parse(&value(&mut i)) {
                 Ok(s) => shard = Some(s),
@@ -110,7 +91,6 @@ fn main() -> ExitCode {
             "--out" | "-o" => out = Some(value(&mut i)),
             "--json" => json = Some(value(&mut i)),
             "--no-oracle" => oracle = false,
-            "--no-golden-cache" => golden_cache = false,
             "--list" => list = true,
             "--help" | "-h" => usage(),
             other => {
@@ -187,7 +167,7 @@ fn main() -> ExitCode {
     };
 
     eprintln!(
-        "rebound-campaign: {} jobs ({} spec{}{}) on {} workers, {} sim thread{} per job{}",
+        "rebound-campaign: {} jobs ({} spec{}{}) on {} workers{}",
         expanded.len(),
         spec_name,
         filter
@@ -198,14 +178,12 @@ fn main() -> ExitCode {
             .map(|s| format!(", shard {}/{}", s.index, s.of))
             .unwrap_or_default(),
         jobs,
-        sim_threads,
-        if sim_threads == 1 { "" } else { "s" },
         store
             .as_ref()
             .map(|s| format!(", store {}", s.root().display()))
             .unwrap_or_default(),
     );
-    let result = run_jobs_opts(expanded, jobs, sim_threads, store.as_ref(), golden_cache);
+    let result = run_jobs(expanded, jobs, store.as_ref());
     if let Some(stats) = &result.store {
         eprintln!(
             "store: {} cached, {} recomputed",

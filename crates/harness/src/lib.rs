@@ -3,10 +3,10 @@
 //! The bench binaries reproduce individual figures; this crate runs
 //! *campaigns*: a [`CampaignSpec`] names the cartesian product of
 //! checkpointing schemes × catalog applications × core counts × seeds ×
-//! fault plans, [`run_campaign`] expands it into jobs and executes them
-//! on a `std::thread` worker pool (the environment has no crates.io
-//! access, so no rayon — see [`parallel_map`]), and the aggregated
-//! [`CampaignResult`] renders a typed results table as CSV or JSON.
+//! fault plans, [`run_jobs`] executes its expansion on a `std::thread`
+//! worker pool (the environment has no crates.io access, so no rayon —
+//! see [`parallel_map`]), and the aggregated [`CampaignResult`] renders
+//! a typed results table as CSV or JSON.
 //!
 //! The centerpiece is the **differential recovery oracle**
 //! ([`oracle::run_job`]): every faulty run is replayed fault-free at the
@@ -30,19 +30,21 @@
 //! file. That determinism is also what makes results *cacheable*: the
 //! content-addressed [`store`] persists each job's row under a hash of
 //! its semantic identity, so `--store DIR` campaigns recompute only
-//! cache misses ([`run_jobs_stored`]) and [`Shard`] splits a matrix
-//! across CI jobs with the union of shard CSVs equal to the unsharded
-//! one.
+//! cache misses, and [`Shard`] splits a matrix across CI jobs with the
+//! union of shard CSVs equal to the unsharded one.
+//!
+//! There are two ways in: [`run_jobs`] runs a campaign's job list on a
+//! worker pool, and [`run_job`] runs one job.
 //!
 //! # Example
 //!
 //! ```
-//! use rebound_harness::{run_campaign, CampaignSpec};
+//! use rebound_harness::{run_jobs, CampaignSpec};
 //!
 //! let mut spec = CampaignSpec::smoke();
 //! spec.apps.truncate(1);
 //! spec.seeds.truncate(1);
-//! let result = run_campaign(&spec, 2);
+//! let result = run_jobs(spec.expand(), 2, None);
 //! assert!(result.failures().is_empty());
 //! assert!(result.to_csv().lines().count() > 1);
 //! ```
@@ -56,10 +58,10 @@ pub mod store;
 pub mod strategies;
 
 pub use oracle::{
-    run_job, run_job_cached, run_job_with, GoldenCache, GoldenCtx, GoldenFootprint, GoldenSnapshot,
-    GoldenStats, JobOutcome, OracleVerdict,
+    run_job, run_job_cached, GoldenCache, GoldenCtx, GoldenFootprint, GoldenSnapshot, GoldenStats,
+    JobOutcome, OracleVerdict,
 };
-pub use pool::{default_golden_cache, default_jobs, default_sim_threads, parallel_map};
+pub use pool::{default_jobs, parallel_map};
 pub use results::{CampaignResult, CampaignRow, RunRow, StoreStats};
 pub use spec::{
     CampaignSpec, FaultPhase, FaultPlan, FaultSpec, FaultTrigger, Job, RunScale, Shard,
@@ -68,92 +70,51 @@ pub use store::{golden_content_key, Store, STORE_SCHEMA_VERSION};
 
 use std::time::Instant;
 
-/// Expands `spec` and executes every job on `jobs` workers, returning
-/// the aggregated results (row order = expansion order, independent of
-/// scheduling).
-pub fn run_campaign(spec: &CampaignSpec, jobs: usize) -> CampaignResult {
-    run_jobs(spec.expand(), jobs)
-}
-
-/// Executes an explicit job list (e.g. a filtered expansion) on `jobs`
-/// workers, one simulation thread per job.
-pub fn run_jobs(jobs_list: Vec<Job>, jobs: usize) -> CampaignResult {
-    run_jobs_with(jobs_list, jobs, 1)
-}
-
-/// Executes an explicit job list on `jobs` workers with up to
-/// `sim_threads` simulation threads per job (faulty run ∥ golden
-/// replay; see [`oracle::run_job_with`]). Output rows are byte-identical
-/// for any combination of `jobs` and `sim_threads`.
-pub fn run_jobs_with(jobs_list: Vec<Job>, jobs: usize, sim_threads: usize) -> CampaignResult {
-    run_jobs_stored(jobs_list, jobs, sim_threads, None)
-}
-
-/// Executes a job list against an optional content-addressed result
-/// [`Store`]: rows whose content key is present load from disk, misses
-/// simulate and persist atomically. Cached and recomputed rows flow
-/// through the same rendering path, so the aggregate CSV/JSON is
-/// byte-identical whether the store was cold, warm, or absent.
+/// Executes `jobs` on `workers` threads and aggregates the results (row
+/// order = job order, independent of scheduling).
+///
+/// Every worker shares one [`GoldenCache`] primed with the job list: the
+/// first faulty job of a base config simulates its golden snapshot and
+/// every other fault plan of that config reuses it. With a `store`,
+/// rows whose content key is present load from disk, misses simulate
+/// and persist atomically, and golden snapshots persist as `.golden`
+/// objects, so later campaigns and sibling CI shards skip even the first
+/// golden simulation. Cached and recomputed rows flow through the same
+/// rendering path, so the aggregate CSV/JSON is byte-identical whether
+/// the store was cold, warm, or absent.
 ///
 /// A store write failure is not fatal — the row was computed, the
 /// campaign stays correct; the failure is reported on stderr and the
 /// job simply stays uncached.
-pub fn run_jobs_stored(
-    jobs_list: Vec<Job>,
-    jobs: usize,
-    sim_threads: usize,
-    store: Option<&Store>,
-) -> CampaignResult {
-    run_jobs_opts(jobs_list, jobs, sim_threads, store, true)
-}
-
-/// [`run_jobs_stored`] with the golden-replay cache made explicit.
-///
-/// With `golden_cache` on (the default everywhere), one
-/// [`GoldenCache`] is shared by every worker: the first faulty job of a
-/// base config simulates (or, with a store, loads) its golden snapshot
-/// once and every other fault plan of that config reuses it — with a
-/// store attached, snapshots persist as `.golden` objects so later
-/// campaigns and sibling CI shards skip even the first simulation. The
-/// cache can only change *when* goldens are computed, never what any
-/// row contains, so output bytes are identical with it on or off
-/// (`--no-golden-cache` exists to prove exactly that, and as an escape
-/// hatch if a cached golden is ever suspected).
-pub fn run_jobs_opts(
-    jobs_list: Vec<Job>,
-    jobs: usize,
-    sim_threads: usize,
-    store: Option<&Store>,
-    golden_cache: bool,
-) -> CampaignResult {
+pub fn run_jobs(jobs: Vec<Job>, workers: usize, store: Option<&Store>) -> CampaignResult {
     let t0 = Instant::now();
-    let cache = golden_cache.then(|| GoldenCache::for_jobs(&jobs_list));
-    let rows = parallel_map(&jobs_list, jobs, |j| {
-        let ctx = cache.as_ref().map(|c| GoldenCtx { cache: c, store });
-        if let Some(st) = store {
-            let key = st.key(j);
-            if let Some(run) = st.load(&key) {
-                return CampaignRow {
-                    job: j.clone(),
-                    run,
-                    cached: true,
-                };
+    let cache = GoldenCache::for_jobs(&jobs);
+    let ctx = GoldenCtx {
+        cache: &cache,
+        store,
+    };
+    let rows = parallel_map(&jobs, workers, |j| {
+        let simulate = || run_job(j, Some(ctx)).run_row();
+        let (run, cached) = match store {
+            None => (simulate(), false),
+            Some(st) => {
+                let key = st.key(j);
+                match st.load(&key) {
+                    Some(run) => (run, true),
+                    None => {
+                        let run = simulate();
+                        if let Err(e) = st.save(&key, &run) {
+                            eprintln!("warning: store write for {} failed: {e}", j.label());
+                        }
+                        (run, false)
+                    }
+                }
             }
-            let run = run_job_cached(j, sim_threads, ctx).run_row();
-            if let Err(e) = st.save(&key, &run) {
-                eprintln!("warning: store write for {} failed: {e}", j.label());
-            }
-            CampaignRow {
-                job: j.clone(),
-                run,
-                cached: false,
-            }
-        } else {
-            CampaignRow {
-                job: j.clone(),
-                run: run_job_cached(j, sim_threads, ctx).run_row(),
-                cached: false,
-            }
+        };
+        CampaignRow {
+            job: j.clone(),
+            run,
+            cached,
         }
     });
     let stats = store.map(|_| {
@@ -165,12 +126,25 @@ pub fn run_jobs_opts(
     });
     CampaignResult {
         rows,
-        jobs_used: jobs.max(1),
+        jobs_used: workers.max(1),
         wall_ms: t0.elapsed().as_millis(),
         store: stats,
-        golden: cache.as_ref().map(|c| c.stats()),
-        golden_footprint: cache.as_ref().map(|c| c.footprint()).unwrap_or_default(),
+        golden: Some(cache.stats()),
+        golden_footprint: cache.footprint(),
     }
+}
+
+/// [`run_jobs`] under its old name; the third argument is ignored. Kept
+/// only because the benchmark in `perfbench/` calls it; it goes when a
+/// benchmark change moves `perfbench` to [`run_jobs`].
+#[doc(hidden)]
+pub fn run_jobs_stored(
+    jobs: Vec<Job>,
+    workers: usize,
+    _sim_threads: usize,
+    store: Option<&Store>,
+) -> CampaignResult {
+    run_jobs(jobs, workers, store)
 }
 
 #[cfg(test)]
@@ -184,8 +158,8 @@ mod tests {
         let mut spec = CampaignSpec::smoke();
         spec.apps = vec!["Blackscholes".to_string()];
         spec.seeds = vec![1];
-        let serial = run_campaign(&spec, 1);
-        let parallel = run_campaign(&spec, 8);
+        let serial = run_jobs(spec.expand(), 1, None);
+        let parallel = run_jobs(spec.expand(), 8, None);
         assert_eq!(serial.to_csv(), parallel.to_csv());
         assert_eq!(serial.to_json(), parallel.to_json());
         assert!(serial.failures().is_empty(), "{}", serial.summary());
@@ -197,7 +171,7 @@ mod tests {
         spec.apps = vec!["FFT".to_string()];
         spec.seeds = vec![2];
         spec.oracle = false;
-        let r = run_campaign(&spec, 4);
+        let r = run_jobs(spec.expand(), 4, None);
         let csv = r.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 1 + r.rows.len());

@@ -503,19 +503,38 @@ fn total_stores(m: &Machine) -> u64 {
     (0..m.ncores()).map(|c| m.core_store_seq(CoreId(c))).sum()
 }
 
-/// Whether judging `job` will (barring early exits) need a golden
-/// replay: the job is faulty, the oracle is on, and the profile admits
-/// at least one golden-relative comparison. Mirrors the short-circuits
-/// in [`judge`] so speculative golden runs are never started — and cache
-/// slots never reserved — for jobs that could not use them; the
-/// `golden_replay_gate_matches_the_judge` test holds the mirror to the
-/// judge's observable behaviour across the whole catalog.
-fn golden_replay_possible(job: &Job) -> bool {
-    if job.plan.is_clean() || !job.oracle {
-        return false;
+/// What the oracle checks on one job. [`Judging::of`] is the only place
+/// that decides whether a job needs a golden: [`run_job`] hands it to
+/// [`judge`], and [`GoldenCache::for_jobs`] counts expected golden uses
+/// with it, so the two cannot drift apart.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Judging {
+    /// A clean plan or the oracle off: nothing is judged.
+    Skip,
+    /// Termination and recovery only: a lock-based profile with
+    /// multi-writer data admits no golden-relative comparison.
+    NoGolden,
+    /// Against a golden: committed-work totals when the profile is
+    /// lock-free (contended lock grants retire an extra test-and-set per
+    /// queue pass), every data line when its data is single-writer.
+    Golden { totals: bool, memory: bool },
+}
+
+impl Judging {
+    fn of(job: &Job) -> Judging {
+        if job.plan.is_clean() || !job.oracle {
+            return Judging::Skip;
+        }
+        let profile = profile_named(&job.app).expect("expand() validated the app name");
+        match (profile.lock_period.is_none(), profile.deterministic_data()) {
+            (false, false) => Judging::NoGolden,
+            (totals, memory) => Judging::Golden { totals, memory },
+        }
     }
-    let profile = profile_named(&job.app).expect("expand() validated the app name");
-    profile.lock_period.is_none() || profile.deterministic_data()
+
+    fn needs_golden(self) -> bool {
+        matches!(self, Judging::Golden { .. })
+    }
 }
 
 /// How a [`GoldenCache`] satisfied one golden request (stats accounting).
@@ -632,7 +651,7 @@ impl GoldenCache {
         let mut expected: HashMap<String, usize> = HashMap::new();
         let salt = code_salt();
         for j in jobs {
-            if golden_replay_possible(j) {
+            if Judging::of(j).needs_golden() {
                 *expected.entry(golden_content_key(j, &salt)).or_insert(0) += 1;
             }
         }
@@ -672,42 +691,6 @@ impl GoldenCache {
             GoldenHow::Computed => &self.computed,
         }
         .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Memory-or-store probe: returns the snapshot if one is already
-    /// available without simulating, else `None`. Used by the overlap
-    /// scheduler — a hit means the golden thread need not be spawned.
-    pub fn try_get(
-        &self,
-        key: &str,
-        job: &Job,
-        store: Option<&Store>,
-    ) -> Option<Arc<GoldenSnapshot>> {
-        if self.single_use(key) {
-            // No residency: serve a store hit directly.
-            let g = store?.load_golden(key, job)?;
-            self.count(GoldenHow::FromStore);
-            return Some(Arc::new(g));
-        }
-        let slot = self.cell(key, job);
-        if let Some(g) = slot.get() {
-            self.count(GoldenHow::Reused);
-            return Some(g.clone());
-        }
-        let loaded = store?.load_golden(key, job)?;
-        // Publish the load; another worker may have resolved meanwhile,
-        // in which case its snapshot (same content) wins.
-        let mut loaded_here = false;
-        let g = slot.get_or_init(|| {
-            loaded_here = true;
-            Arc::new(loaded)
-        });
-        self.count(if loaded_here {
-            GoldenHow::FromStore
-        } else {
-            GoldenHow::Reused
-        });
-        Some(g.clone())
     }
 
     /// Obtains the golden snapshot for `job`'s base config: resident
@@ -787,142 +770,70 @@ pub struct GoldenCtx<'a> {
 }
 
 /// Runs one job and, for faulty oracle-enabled jobs, the differential
-/// recovery oracle against a fault-free golden twin.
+/// recovery oracle against its fault-free golden twin.
 ///
-/// Equivalent to [`run_job_with`] at one simulation thread.
-pub fn run_job(job: &Job) -> JobOutcome {
-    run_job_with(job, 1)
-}
-
-/// Runs one job using up to `sim_threads` simulation threads, with no
-/// golden cache (every golden needed is replayed fresh).
-pub fn run_job_with(job: &Job, sim_threads: usize) -> JobOutcome {
-    run_job_cached(job, sim_threads, None)
-}
-
-/// Runs one job using up to `sim_threads` simulation threads and an
-/// optional shared golden cache.
-///
-/// Each machine run is a strictly sequential discrete-event simulation —
-/// `Machine::access` synchronously mutates the shared directory, memory
-/// image and other cores' caches with zero lookahead, so there is no
-/// sound intra-machine partitioning that preserves bit-identical event
-/// order. What *is* independent is the pair of runs inside an
-/// oracle-checked job: the faulty run and its fault-free golden twin
-/// share nothing but the immutable job description. With
-/// `sim_threads >= 2` the golden replay runs concurrently with the
-/// faulty run — unless the cache already holds the snapshot, in which
-/// case no thread is spawned and the faulty run proceeds alone; the
-/// verdict logic is unchanged and each run is individually
-/// deterministic, so every reported field is byte-identical for any
-/// `sim_threads` value and any cache state.
-pub fn run_job_cached(job: &Job, sim_threads: usize, golden: Option<GoldenCtx<'_>>) -> JobOutcome {
-    let possible = golden_replay_possible(job);
-    let key = golden.filter(|_| possible).map(|c| (c, c.cache.key(job)));
-    // Warm probe: with an overlap thread on offer, a snapshot already in
-    // memory (or on disk) frees it — fall through to a plain
-    // single-threaded faulty run instead of spawning an idle thread.
-    let probed: Option<Arc<GoldenSnapshot>> = if sim_threads >= 2 {
-        key.as_ref()
-            .and_then(|(c, k)| c.cache.try_get(k, job, c.store))
-    } else {
-        None
-    };
-    let overlap = sim_threads >= 2 && possible && probed.is_none();
-    let ((faulty, end, fired), pre_golden) = if overlap {
-        std::thread::scope(|s| {
-            let g = s.spawn(|| match &key {
-                Some((c, k)) => c.cache.resolve(k, job, c.store),
-                None => Arc::new(GoldenSnapshot::capture(job)),
-            });
-            let f = execute(job, true);
-            // Snapshot capture converts machine panics into a stuck
-            // snapshot, so the join only fails on harness bugs.
-            (f, Some(g.join().expect("golden replay thread panicked")))
-        })
-    } else {
-        (execute(job, true), None)
-    };
+/// The faulty run executes on the calling thread. The judge pulls the
+/// golden only once it is past its early exits, so a job that ends
+/// stuck, never rolls back, or admits no golden-relative comparison
+/// never pays for one. With `golden`, the snapshot comes from the shared
+/// cache (backed by its store); with `None` it is replayed fresh, the
+/// uncached reference the tests hold the cache to. Every reported field
+/// is identical either way.
+pub fn run_job(job: &Job, golden: Option<GoldenCtx<'_>>) -> JobOutcome {
+    let (faulty, end, fired) = execute(job, true);
     let report = faulty.report();
-
-    let stuck = |verdict: OracleVerdict, checks: &str| JobOutcome {
-        job: job.clone(),
-        report: report.clone(),
-        verdict,
-        golden: None,
-        checks: checks.to_string(),
-        fired: fired.clone(),
-    };
-    match end {
-        ExecEnd::Finished => {}
-        ExecEnd::StepBudget => {
-            return stuck(
-                OracleVerdict::Fail(format!(
-                    "livelock: {STEP_BUDGET} events without terminating"
-                )),
-                "budget",
-            );
-        }
-        ExecEnd::Watchdog => {
-            return stuck(
-                OracleVerdict::Fail(format!(
-                    "watchdog: still running past {} cycles",
-                    job.scale.watchdog_cycles
-                )),
-                "watchdog",
-            );
-        }
-        ExecEnd::Panicked(msg) => {
-            return stuck(
-                OracleVerdict::Fail(format!("machine panicked: {msg}")),
-                "panic",
-            );
-        }
-    }
-
-    if job.plan.is_clean() || !job.oracle {
-        return JobOutcome {
-            job: job.clone(),
-            report,
-            verdict: OracleVerdict::NotApplicable,
-            golden: None,
-            checks: String::new(),
-            fired,
-        };
-    }
-
-    // The golden supplier the judge pulls from at most once: an already
-    // obtained snapshot (probe hit or overlap thread), else the cache,
-    // else a fresh uncached replay.
-    let mut ready = probed.or(pre_golden);
-    let mut supplier = || {
-        ready.take().unwrap_or_else(|| match &key {
-            Some((c, k)) => c.cache.resolve(k, job, c.store),
+    let stuck = |why: String, checks: &str| (OracleVerdict::Fail(why), None, checks.to_string());
+    let (verdict, snapshot, checks) = match end {
+        ExecEnd::Finished => judge(Judging::of(job), &faulty, &report, &mut || match golden {
+            Some(c) => c.cache.resolve(&c.cache.key(job), job, c.store),
             None => Arc::new(GoldenSnapshot::capture(job)),
-        })
+        }),
+        ExecEnd::StepBudget => stuck(
+            format!("livelock: {STEP_BUDGET} events without terminating"),
+            "budget",
+        ),
+        ExecEnd::Watchdog => stuck(
+            format!(
+                "watchdog: still running past {} cycles",
+                job.scale.watchdog_cycles
+            ),
+            "watchdog",
+        ),
+        ExecEnd::Panicked(msg) => stuck(format!("machine panicked: {msg}"), "panic"),
     };
-    let (verdict, golden_snap, checks) = judge(job, &faulty, &report, &mut supplier);
     JobOutcome {
         job: job.clone(),
         report,
         verdict,
-        golden: golden_snap,
+        golden: snapshot,
         checks,
         fired,
     }
 }
 
-/// The oracle proper: compares a finished faulty machine against its
-/// fault-free golden twin's snapshot. `golden` supplies the snapshot on
-/// demand — it is only invoked once the early exits are past, so jobs
-/// that terminate dirty, never rolled back, or admit no golden-relative
-/// comparison never pay for (or pin) a golden at all.
+/// [`run_job`] under its old name; the second argument is ignored. Kept
+/// only because the benchmark in `perfbench/` calls it; it goes when a
+/// benchmark change moves `perfbench` to [`run_job`].
+#[doc(hidden)]
+pub fn run_job_cached(job: &Job, _sim_threads: usize, golden: Option<GoldenCtx<'_>>) -> JobOutcome {
+    run_job(job, golden)
+}
+
+/// The oracle proper: judges a finished faulty machine as `judging`
+/// says, against its fault-free golden twin's snapshot. `golden`
+/// supplies the snapshot on demand — it is only invoked once the early
+/// exits are past, so jobs that terminate dirty, never rolled back, or
+/// admit no golden-relative comparison never pay for (or pin) a golden
+/// at all.
 fn judge(
-    job: &Job,
+    judging: Judging,
     faulty: &Machine,
     report: &RunReport,
     golden: &mut dyn FnMut() -> Arc<GoldenSnapshot>,
 ) -> (OracleVerdict, Option<Arc<GoldenSnapshot>>, String) {
+    if judging == Judging::Skip {
+        return (OracleVerdict::NotApplicable, None, String::new());
+    }
     let mut checks: Vec<&'static str> = vec!["termination"];
 
     if faulty.done_cores() != faulty.ncores() {
@@ -942,18 +853,12 @@ fn judge(
     }
     checks.push("rollback");
 
-    // Which comparisons apply: committed-work totals are timing-invariant
-    // whenever the profile is lock-free (contended lock grants retire an
-    // extra test-and-set per queue pass); the full data-state comparison
-    // additionally needs single-writer data. If neither applies, skip the
-    // golden replay entirely — it would only repeat the livelock check.
-    let profile = profile_named(&job.app).expect("validated");
-    let check_totals = profile.lock_period.is_none();
-    let check_memory = profile.deterministic_data();
-    if !check_totals && !check_memory {
+    // With no golden-relative comparison, skip the golden replay
+    // entirely — it would only repeat the livelock check.
+    let Judging::Golden { totals, memory } = judging else {
         checks.push("state-skipped(nondeterministic-data)");
         return (OracleVerdict::Pass, None, checks.join("+"));
-    }
+    };
 
     let golden = golden();
     if !golden.is_clean() {
@@ -967,7 +872,7 @@ fn judge(
         );
     }
 
-    if check_totals {
+    if totals {
         checks.push("insts");
         if total_insts(faulty) != golden.insts {
             return (
@@ -995,7 +900,7 @@ fn judge(
         }
     }
 
-    if check_memory {
+    if memory {
         checks.push("memory");
         let mismatches = compare_data_lines(faulty, &golden);
         if !mismatches.is_empty() {
@@ -1041,7 +946,10 @@ mod tests {
 
     #[test]
     fn clean_job_is_not_judged() {
-        let out = run_job(&job(Scheme::REBOUND, "Blackscholes", FaultPlan::clean()));
+        let out = run_job(
+            &job(Scheme::REBOUND, "Blackscholes", FaultPlan::clean()),
+            None,
+        );
         assert_eq!(out.verdict, OracleVerdict::NotApplicable);
         assert!(out.golden.is_none());
         assert!(out.report.insts > 0);
@@ -1049,11 +957,14 @@ mod tests {
 
     #[test]
     fn faulty_rebound_run_passes_the_oracle() {
-        let out = run_job(&job(
-            Scheme::REBOUND,
-            "Blackscholes",
-            FaultPlan::single(1, 20_000),
-        ));
+        let out = run_job(
+            &job(
+                Scheme::REBOUND,
+                "Blackscholes",
+                FaultPlan::single(1, 20_000),
+            ),
+            None,
+        );
         assert_eq!(out.verdict, OracleVerdict::Pass, "checks: {}", out.checks);
         assert!(out.report.rollbacks >= 1);
         let golden = out.golden.expect("golden twin ran");
@@ -1065,11 +976,14 @@ mod tests {
     #[test]
     fn phase_plan_passes_and_records_the_fired_cycle() {
         use crate::spec::FaultPhase;
-        let out = run_job(&job(
-            Scheme::REBOUND,
-            "Blackscholes",
-            FaultPlan::on_phase(1, FaultPhase::CkptDrain).named("mid-drain"),
-        ));
+        let out = run_job(
+            &job(
+                Scheme::REBOUND,
+                "Blackscholes",
+                FaultPlan::on_phase(1, FaultPhase::CkptDrain).named("mid-drain"),
+            ),
+            None,
+        );
         assert_eq!(out.verdict, OracleVerdict::Pass, "checks: {}", out.checks);
         assert!(out.report.rollbacks >= 1);
         assert!(
@@ -1085,22 +999,28 @@ mod tests {
         use crate::spec::FaultPhase;
         // Scheme::None has no checkpoint machinery: no drain window can
         // ever open, so the armed fault stays unfired.
-        let out = run_job(&job(
-            Scheme::None,
-            "Blackscholes",
-            FaultPlan::on_phase(0, FaultPhase::CkptDrain),
-        ));
+        let out = run_job(
+            &job(
+                Scheme::None,
+                "Blackscholes",
+                FaultPlan::on_phase(0, FaultPhase::CkptDrain),
+            ),
+            None,
+        );
         assert_eq!(out.verdict, OracleVerdict::Vacuous);
         assert_eq!(out.fired, "-");
     }
 
     #[test]
     fn storm_plan_passes_with_every_detection_recorded() {
-        let out = run_job(&job(
-            Scheme::REBOUND,
-            "Blackscholes",
-            FaultPlan::storm(1, 2, 15_000, 6_000),
-        ));
+        let out = run_job(
+            &job(
+                Scheme::REBOUND,
+                "Blackscholes",
+                FaultPlan::storm(1, 2, 15_000, 6_000),
+            ),
+            None,
+        );
         assert_eq!(out.verdict, OracleVerdict::Pass, "checks: {}", out.checks);
         assert_eq!(out.report.rollbacks, 2);
         assert_eq!(out.fired, "f1@15000+f1@21000");
@@ -1113,7 +1033,7 @@ mod tests {
         // of hanging or passing.
         let mut j = job(Scheme::REBOUND, "Blackscholes", FaultPlan::single(1, 5_000));
         j.scale.watchdog_cycles = 1_000;
-        let out = run_job(&j);
+        let out = run_job(&j, None);
         assert!(out.verdict.is_failure());
         assert!(matches!(&out.verdict, OracleVerdict::Fail(m) if m.contains("watchdog")));
         assert_eq!(out.checks, "watchdog");
@@ -1121,11 +1041,14 @@ mod tests {
 
     #[test]
     fn fault_after_completion_is_vacuous() {
-        let out = run_job(&job(
-            Scheme::REBOUND,
-            "Blackscholes",
-            FaultPlan::single(0, u64::MAX / 2),
-        ));
+        let out = run_job(
+            &job(
+                Scheme::REBOUND,
+                "Blackscholes",
+                FaultPlan::single(0, u64::MAX / 2),
+            ),
+            None,
+        );
         assert_eq!(out.verdict, OracleVerdict::Vacuous);
         assert_eq!(out.report.rollbacks, 0);
     }
@@ -1134,11 +1057,10 @@ mod tests {
     fn nondeterministic_profiles_skip_the_state_comparison() {
         // Raytrace hammers dynamic locks: final data values are
         // arrival-order-dependent, so only termination is checked.
-        let out = run_job(&job(
-            Scheme::REBOUND,
-            "Raytrace",
-            FaultPlan::single(2, 20_000),
-        ));
+        let out = run_job(
+            &job(Scheme::REBOUND, "Raytrace", FaultPlan::single(2, 20_000)),
+            None,
+        );
         assert!(
             !out.verdict.is_failure(),
             "verdict {:?} ({})",
@@ -1156,7 +1078,7 @@ mod tests {
             if j.plan.is_clean() {
                 continue;
             }
-            let out = run_job(&j);
+            let out = run_job(&j, None);
             assert!(
                 matches!(out.verdict, OracleVerdict::Pass),
                 "{}: {:?}",
@@ -1201,7 +1123,7 @@ mod tests {
     #[test]
     fn snapshot_judging_matches_machine_judging() {
         for j in CampaignSpec::acceptance().expand() {
-            if j.plan.is_clean() || !golden_replay_possible(&j) {
+            if !Judging::of(&j).needs_golden() {
                 continue;
             }
             let (faulty, f_end, _) = execute(&j, true);
@@ -1244,13 +1166,13 @@ mod tests {
         }
     }
 
-    /// Satellite regression: `golden_replay_possible` is maintained by
-    /// hand as a mirror of `judge`'s short-circuits. Hold the mirror to
-    /// the judge's *observable* behaviour across the whole catalog and
-    /// both oracle flags: a job the gate rejects must never come back
-    /// with a golden snapshot or a golden-relative check, and a job the
-    /// gate admits that the judge actually carried to the comparison
-    /// stage (clean termination + a real rollback) must have used one.
+    /// `Judging::of` is the gate the golden cache counts expected uses
+    /// with. Hold it to the judge's *observable* behaviour across the
+    /// whole catalog and both oracle flags: a job the gate rejects must
+    /// never come back with a golden snapshot or a golden-relative
+    /// check, and a job the gate admits that the judge actually carried
+    /// to the comparison stage (clean termination + a real rollback)
+    /// must have used one.
     #[test]
     fn golden_replay_gate_matches_the_judge() {
         for profile in rebound_workloads::all_profiles() {
@@ -1259,8 +1181,8 @@ mod tests {
                     let mut j = job(Scheme::REBOUND, profile.name, plan);
                     j.scale = RunScale::tiny();
                     j.oracle = oracle;
-                    let possible = golden_replay_possible(&j);
-                    let out = run_job(&j);
+                    let possible = Judging::of(&j).needs_golden();
+                    let out = run_job(&j, None);
                     if !possible {
                         assert!(
                             out.golden.is_none(),
@@ -1286,17 +1208,6 @@ mod tests {
                             out.checks
                         );
                     }
-                    // The speculative scheduler must agree with the lazy
-                    // path on whether a golden ends up attached.
-                    let overlapped = run_job_with(&j, 2);
-                    assert_eq!(
-                        overlapped.golden.is_some(),
-                        out.golden.is_some(),
-                        "{}: sim-threads changed golden usage",
-                        j.label()
-                    );
-                    assert_eq!(overlapped.verdict, out.verdict, "{}", j.label());
-                    assert_eq!(overlapped.checks, out.checks, "{}", j.label());
                 }
             }
         }
@@ -1317,15 +1228,14 @@ mod tests {
         let cache = GoldenCache::for_jobs(&jobs);
         let mut snaps = Vec::new();
         for j in &jobs {
-            let out = run_job_cached(
+            let out = run_job(
                 j,
-                1,
                 Some(GoldenCtx {
                     cache: &cache,
                     store: None,
                 }),
             );
-            let uncached = run_job(j);
+            let uncached = run_job(j, None);
             assert_eq!(out.verdict, uncached.verdict, "{}", j.label());
             assert_eq!(out.checks, uncached.checks, "{}", j.label());
             snaps.push(out.golden.expect("golden used"));
@@ -1351,9 +1261,8 @@ mod tests {
             FaultPlan::single(1, 20_000),
         )];
         let cache = GoldenCache::for_jobs(&jobs);
-        let out = run_job_cached(
+        let out = run_job(
             &jobs[0],
-            1,
             Some(GoldenCtx {
                 cache: &cache,
                 store: None,
@@ -1362,36 +1271,5 @@ mod tests {
         assert_eq!(out.verdict, OracleVerdict::Pass, "{}", out.checks);
         assert_eq!(cache.stats().computed, 1);
         assert!(cache.footprint().is_empty(), "single-use snapshot pinned");
-    }
-
-    /// With the snapshot already cached, `sim_threads >= 2` must not
-    /// spawn a speculative golden thread — and the outcome must be
-    /// byte-identical to the single-threaded one.
-    #[test]
-    fn warm_cache_falls_through_to_single_threaded() {
-        let jobs: Vec<Job> = [FaultPlan::single(1, 20_000), FaultPlan::single(2, 15_000)]
-            .into_iter()
-            .map(|p| job(Scheme::REBOUND, "FFT", p))
-            .collect();
-        let cache = GoldenCache::for_jobs(&jobs);
-        let ctx = GoldenCtx {
-            cache: &cache,
-            store: None,
-        };
-        let warmup = run_job_cached(&jobs[0], 1, Some(ctx));
-        assert_eq!(warmup.verdict, OracleVerdict::Pass, "{}", warmup.checks);
-        let computed_before = cache.stats().computed;
-        let t1 = run_job_cached(&jobs[1], 1, Some(ctx));
-        let t2 = run_job_cached(&jobs[1], 2, Some(ctx));
-        assert_eq!(
-            cache.stats().computed,
-            computed_before,
-            "warm hit recomputed"
-        );
-        assert_eq!(t1.verdict, t2.verdict);
-        assert_eq!(t1.checks, t2.checks);
-        assert_eq!(t1.fired, t2.fired);
-        assert_eq!(t1.report.cycles, t2.report.cycles);
-        assert_eq!(t1.report.insts, t2.report.insts);
     }
 }

@@ -127,35 +127,6 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// The default per-job simulation thread count: `REBOUND_SIM_THREADS` if
-/// set and parseable (an unparseable value warns once on stderr), else 1.
-/// At 2 or more, oracle-checked jobs overlap the faulty run with its
-/// golden replay (see [`crate::oracle::run_job_with`]); the conservative
-/// default keeps total thread pressure equal to `--jobs` when a campaign
-/// already saturates the machine.
-pub fn default_sim_threads() -> usize {
-    static WARNED: AtomicBool = AtomicBool::new(false);
-    if let Ok(v) = std::env::var("REBOUND_SIM_THREADS") {
-        if let Some(n) = env_count("REBOUND_SIM_THREADS", &v, &WARNED) {
-            return n;
-        }
-    }
-    1
-}
-
-/// The default golden-cache switch: on, unless `REBOUND_NO_GOLDEN_CACHE`
-/// is set to anything but `0` or the empty string. The CLI's
-/// `--no-golden-cache` flag overrides in the same direction only — there
-/// is no flag to force the cache on, because off is never the better
-/// default (the env knob exists for A/B harnesses and bisecting a
-/// suspected cached-golden discrepancy without editing scripts).
-pub fn default_golden_cache() -> bool {
-    !matches!(
-        std::env::var("REBOUND_NO_GOLDEN_CACHE").ok().as_deref(),
-        Some(v) if !v.is_empty() && v != "0"
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,7 +21,7 @@ use crate::spec::Job;
 ///
 /// Everything here is a pure function of the job's semantic identity
 /// (scheme, app, cores, seed, fault plan, scale, oracle flag) — never of
-/// worker count, simulation threads, or wall clock — which is what makes
+/// worker count or wall clock — which is what makes
 /// it cacheable under a content key. `ichk_pct` is kept pre-rendered
 /// (`{:.3}`) so a store round-trip reproduces the emitted decimal
 /// byte-for-byte.
@@ -129,10 +129,12 @@ pub struct CampaignResult {
     pub wall_ms: u128,
     /// Cache accounting when a result store was in use.
     pub store: Option<StoreStats>,
-    /// Golden-replay cache accounting when the golden cache was in use.
+    /// Golden-replay cache accounting. [`crate::run_jobs`] always fills
+    /// it; `None` only in a result assembled by hand, such as the
+    /// uncached reference the tests build from [`crate::run_job`] rows.
     pub golden: Option<GoldenStats>,
     /// Per-base-config resident golden snapshots at campaign end
-    /// (diagnostics only; empty when the cache was off or held nothing).
+    /// (diagnostics only; empty when the cache held nothing).
     pub golden_footprint: Vec<GoldenFootprint>,
 }
 

@@ -14,9 +14,9 @@
 //! * the job id and the fault plan's family name — presentation; the CSV
 //!   renders them from the live [`Job`], so re-labelling a plan or
 //!   reordering a spec never invalidates results;
-//! * `--jobs` / `--sim-threads` — the harness guarantees rows are
-//!   byte-identical for any value of either, so caching across them is
-//!   sound (and is tested in `tests/store_resume.rs`).
+//! * `--jobs` — the harness guarantees rows are byte-identical for any
+//!   worker count, so caching across it is sound (and is tested in
+//!   `tests/store_resume.rs`).
 //!
 //! What *is* in the key beyond the job fields: a **code salt** made of
 //! the crate version and [`STORE_SCHEMA_VERSION`]. Bump the schema
@@ -31,7 +31,8 @@
 //! DIR/
 //!   tmp/                   staging for atomic writes
 //!   ab/                    first two hex chars of the key
-//!     ab…30-more-hex.row   header line + one CSV-framed record
+//!     ab…30-more-hex.row     header line + one CSV-framed record
+//!     cd…30-more-hex.golden  header line + a golden snapshot
 //! ```
 //!
 //! Writes go to `DIR/tmp/` and `rename(2)` into place — atomic on POSIX,
@@ -128,6 +129,33 @@ pub struct Store {
 /// writing the same key must not collide in `tmp/`.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// The two kinds of object a store holds: a result row per job and a
+/// golden snapshot per base config. They share the layout, the atomic
+/// write and the miss semantics, and differ only in file extension and
+/// header line.
+#[derive(Clone, Copy)]
+enum Kind {
+    Row,
+    Golden,
+}
+
+impl Kind {
+    fn extension(self) -> &'static str {
+        match self {
+            Kind::Row => "row",
+            Kind::Golden => "golden",
+        }
+    }
+
+    /// The first line of every object of this kind.
+    fn header(self) -> String {
+        match self {
+            Kind::Row => format!("rebound-store v{STORE_SCHEMA_VERSION}"),
+            Kind::Golden => format!("rebound-store golden v{STORE_SCHEMA_VERSION}"),
+        }
+    }
+}
+
 impl Store {
     /// Opens (creating if needed) a store rooted at `dir`.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Store> {
@@ -146,98 +174,90 @@ impl Store {
         content_key(job, &code_salt())
     }
 
-    fn object_path(&self, key: &str) -> PathBuf {
+    /// The golden content key of `job` under the current code salt.
+    pub fn golden_key(&self, job: &Job) -> String {
+        golden_content_key(job, &code_salt())
+    }
+
+    fn path(&self, kind: Kind, key: &str) -> PathBuf {
         // Git-style fan-out: 256 prefix dirs keep directory sizes sane
         // for the 10k+-job matrices the store exists to unlock.
-        self.root.join(&key[..2]).join(format!("{}.row", &key[2..]))
+        self.root
+            .join(&key[..2])
+            .join(format!("{}.{}", &key[2..], kind.extension()))
     }
 
-    /// Loads the row stored under `key`. `None` means miss — absent,
-    /// unreadable, or corrupt (the recompute overwrites it).
-    pub fn load(&self, key: &str) -> Option<RunRow> {
-        let text = fs::read_to_string(self.object_path(key)).ok()?;
-        let (header, body) = text.split_once('\n')?;
-        if header != format!("rebound-store v{STORE_SCHEMA_VERSION}") {
+    /// The body of the `kind` object under `key`: everything after its
+    /// header line. `None` if the object is absent, unreadable, or has
+    /// another header.
+    fn read(&self, kind: Kind, key: &str) -> Option<String> {
+        let mut text = fs::read_to_string(self.path(kind, key)).ok()?;
+        let (header, _) = text.split_once('\n')?;
+        if header != kind.header() {
             return None;
         }
-        decode_row(body.strip_suffix('\n').unwrap_or(body))
+        text.drain(..=header.len());
+        Some(text)
     }
 
-    /// Atomically persists `row` under `key` (staging file + rename).
-    pub fn save(&self, key: &str, row: &RunRow) -> io::Result<()> {
-        let path = self.object_path(key);
+    /// Atomically writes the `kind` object under `key`: its header line,
+    /// then `body`, staged in `tmp/` and renamed into place.
+    fn write(&self, kind: Kind, key: &str, body: &str) -> io::Result<()> {
+        let path = self.path(kind, key);
         fs::create_dir_all(path.parent().expect("object path has a parent"))?;
         let tmp = self.root.join("tmp").join(format!(
             "{key}.{}.{}",
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let contents = format!(
-            "rebound-store v{STORE_SCHEMA_VERSION}\n{}\n",
-            encode_row(row)
-        );
-        fs::write(&tmp, contents)?;
+        fs::write(&tmp, format!("{}\n{body}", kind.header()))?;
         fs::rename(&tmp, &path)
     }
 
-    /// Removes the object stored under `key`, reporting whether one
-    /// existed (targeted invalidation; tests salt single jobs this way).
-    pub fn remove(&self, key: &str) -> io::Result<bool> {
-        match fs::remove_file(self.object_path(key)) {
+    /// Removes the `kind` object under `key`, reporting whether one
+    /// existed.
+    fn delete(&self, kind: Kind, key: &str) -> io::Result<bool> {
+        match fs::remove_file(self.path(kind, key)) {
             Ok(()) => Ok(true),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
             Err(e) => Err(e),
         }
     }
 
-    /// The golden content key of `job` under the current code salt.
-    pub fn golden_key(&self, job: &Job) -> String {
-        golden_content_key(job, &code_salt())
+    /// Loads the row stored under `key`. `None` means miss — absent,
+    /// unreadable, or corrupt (the recompute overwrites it).
+    pub fn load(&self, key: &str) -> Option<RunRow> {
+        let body = self.read(Kind::Row, key)?;
+        decode_row(body.strip_suffix('\n').unwrap_or(&body))
     }
 
-    fn golden_path(&self, key: &str) -> PathBuf {
-        self.root
-            .join(&key[..2])
-            .join(format!("{}.golden", &key[2..]))
+    /// Atomically persists `row` under `key` (staging file + rename).
+    pub fn save(&self, key: &str, row: &RunRow) -> io::Result<()> {
+        self.write(Kind::Row, key, &format!("{}\n", encode_row(row)))
+    }
+
+    /// Removes the object stored under `key`, reporting whether one
+    /// existed (targeted invalidation; tests salt single jobs this way).
+    pub fn remove(&self, key: &str) -> io::Result<bool> {
+        self.delete(Kind::Row, key)
     }
 
     /// Loads the golden snapshot stored under `key`, rebuilding its line
     /// interner from `job`'s base identity. `None` means miss — absent,
     /// unreadable, truncated, or corrupt; the recompute overwrites it.
     pub fn load_golden(&self, key: &str, job: &Job) -> Option<GoldenSnapshot> {
-        let text = fs::read_to_string(self.golden_path(key)).ok()?;
-        let (header, body) = text.split_once('\n')?;
-        if header != format!("rebound-store golden v{STORE_SCHEMA_VERSION}") {
-            return None;
-        }
-        decode_golden(body, &job.app, job.cores)
+        decode_golden(&self.read(Kind::Golden, key)?, &job.app, job.cores)
     }
 
     /// Atomically persists a golden snapshot under `key`.
     pub fn save_golden(&self, key: &str, snap: &GoldenSnapshot) -> io::Result<()> {
-        let path = self.golden_path(key);
-        fs::create_dir_all(path.parent().expect("object path has a parent"))?;
-        let tmp = self.root.join("tmp").join(format!(
-            "{key}.{}.{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let contents = format!(
-            "rebound-store golden v{STORE_SCHEMA_VERSION}\n{}",
-            encode_golden(snap)
-        );
-        fs::write(&tmp, contents)?;
-        fs::rename(&tmp, &path)
+        self.write(Kind::Golden, key, &encode_golden(snap))
     }
 
     /// Removes the golden object under `key`, reporting whether one
     /// existed.
     pub fn remove_golden(&self, key: &str) -> io::Result<bool> {
-        match fs::remove_file(self.golden_path(key)) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e),
-        }
+        self.delete(Kind::Golden, key)
     }
 }
 
@@ -624,7 +644,7 @@ mod tests {
 
         // Truncation (missing sentinel) reads as a miss.
         let enc = encode_golden(&snap);
-        let path = store.golden_path(&key);
+        let path = store.path(Kind::Golden, &key);
         let header = format!("rebound-store golden v{STORE_SCHEMA_VERSION}\n");
         let truncated = &enc[..enc.len() - "end\n".len() - 3];
         fs::write(&path, format!("{header}{truncated}")).unwrap();
@@ -664,7 +684,7 @@ mod tests {
         assert_eq!(store.load(&key), Some(row));
 
         // A corrupt object reads as a miss.
-        let path = store.object_path(&key);
+        let path = store.path(Kind::Row, &key);
         fs::write(&path, "rebound-store v999\ngarbage").unwrap();
         assert_eq!(store.load(&key), None);
 

@@ -4,7 +4,7 @@
 //! (`cargo test -p rebound-harness --release -- --ignored`); locally:
 //! `cargo test -p rebound-harness -- --ignored adversarial_matrix`.
 
-use rebound_harness::{default_jobs, run_campaign, CampaignSpec, OracleVerdict};
+use rebound_harness::{default_jobs, run_jobs, CampaignSpec, OracleVerdict};
 
 #[test]
 #[ignore = "runs the full adversarial matrix (288 oracle-checked jobs); minutes"]
@@ -14,7 +14,7 @@ fn adversarial_matrix_smoke_recovers_everywhere() {
     // polls armed phase triggers inside that window, so the family
     // fires (and is oracle-checked) on both seeds.
     let spec = CampaignSpec::adversarial();
-    let result = run_campaign(&spec, default_jobs());
+    let result = run_jobs(spec.expand(), default_jobs(), None);
     assert!(
         result.failures().is_empty(),
         "adversarial failures: {}\n{}",

@@ -32,7 +32,7 @@ proptest! {
             scale: RunScale::campaign(),
             oracle: true,
         };
-        let out = run_job(&job);
+        let out = run_job(&job, None);
         prop_assert!(
             !out.verdict.is_failure(),
             "{}: {:?} (checks {}, fired {})",

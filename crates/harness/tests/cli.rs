@@ -1,6 +1,7 @@
 //! `rebound-campaign` CLI contract tests, driven through the real binary
 //! (`CARGO_BIN_EXE_rebound-campaign`): a filter matching nothing is a
-//! hard error, malformed `--shard` specs are rejected, and the
+//! hard error, malformed `--shard` specs and removed flags are
+//! rejected, and the
 //! `--store`/`--shard` flags compose end-to-end — warm reruns report
 //! zero recomputes and write byte-identical CSVs, shards partition the
 //! filtered matrix.
@@ -38,6 +39,23 @@ fn malformed_shard_specs_are_rejected() {
     for bad in ["2/2", "1", "a/b", "0/0"] {
         let out = campaign(&["--spec", "smoke", "--shard", bad, "--list"]);
         assert_eq!(out.status.code(), Some(2), "--shard {bad} must be rejected");
+    }
+}
+
+#[test]
+fn removed_golden_flags_are_unknown_arguments() {
+    // Jobs run one way only, through the campaign-wide golden cache: a
+    // flag asking for another way must fail loudly, not be ignored.
+    for flag in [&["--sim-threads", "2"][..], &["--no-golden-cache"]] {
+        let mut args = vec!["--spec", "smoke", "--list"];
+        args.extend(flag);
+        let out = campaign(&args);
+        assert_eq!(out.status.code(), Some(2), "{flag:?} must be rejected");
+        assert!(
+            stderr(&out).contains(&format!("unknown argument: {}", flag[0])),
+            "stderr: {}",
+            stderr(&out)
+        );
     }
 }
 

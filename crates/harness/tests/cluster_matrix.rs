@@ -6,14 +6,14 @@
 //! `cargo test -p rebound-harness --release -- --ignored cluster_matrix`.
 
 use rebound_core::Scheme;
-use rebound_harness::{default_jobs, run_campaign, CampaignSpec, OracleVerdict};
+use rebound_harness::{default_jobs, run_jobs, CampaignSpec, OracleVerdict};
 
 #[test]
 #[ignore = "runs the 36-job cluster adversarial matrix (oracle-checked); ~1 min in release"]
 fn cluster_scheme_recovers_across_the_adversarial_matrix() {
     let mut spec = CampaignSpec::adversarial();
     spec.schemes = vec![Scheme::REBOUND_CLUSTER];
-    let result = run_campaign(&spec, default_jobs());
+    let result = run_jobs(spec.expand(), default_jobs(), None);
 
     // Zero oracle failures and zero watchdog timeouts (a watchdog or
     // livelock surfaces as a Fail verdict).

@@ -47,7 +47,7 @@ const GOLDEN: &str = include_str!("golden/cross_repr.csv");
 
 #[test]
 fn campaign_rows_are_byte_identical_to_the_seed_commit_snapshot() {
-    let csv = run_jobs(spec().expand(), 4).to_csv();
+    let csv = run_jobs(spec().expand(), 4, None).to_csv();
     if std::env::var("REBOUND_REGEN_GOLDEN").is_ok() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/cross_repr.csv");
         std::fs::write(path, &csv).expect("write golden");

@@ -1,10 +1,10 @@
 //! Campaign-level golden-cache behaviour: the cache may only ever
 //! change *when* golden replays happen — never what any emitted byte
-//! contains. These tests pin the four load-bearing properties:
+//! contains. The reference is the uncached path, `run_job(j, None)`,
+//! which replays every golden fresh. These tests pin the four
+//! load-bearing properties, the first three at 1 and 4 workers:
 //!
-//! 1. CSV/JSON bytes are identical with the cache on or off, for any
-//!    worker count and any `sim_threads` (including the warm-cache
-//!    fall-through that skips the overlap thread entirely);
+//! 1. CSV/JSON bytes equal the uncached reference's;
 //! 2. with a store, goldens persist as `.golden` objects and a later
 //!    campaign (or CI shard) computes zero goldens while still writing
 //!    identical bytes;
@@ -13,11 +13,18 @@
 //! 4. the stats line reports real reuse on a multi-plan matrix.
 
 use rebound_core::Scheme;
-use rebound_harness::{run_jobs_opts, CampaignSpec, FaultPhase, FaultPlan, Job, RunScale, Store};
+use rebound_harness::{
+    run_job, run_jobs, CampaignResult, CampaignRow, CampaignSpec, FaultPhase, FaultPlan, Job,
+    RunScale, Store,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Worker counts every campaign below runs at: the inline path and a
+/// real pool.
+const WORKERS: [usize; 2] = [1, 4];
 
 fn temp_store() -> (Store, PathBuf) {
     let dir = std::env::temp_dir().join(format!(
@@ -56,31 +63,42 @@ fn matrix() -> Vec<Job> {
     jobs
 }
 
+/// The uncached reference: every job through `run_job(j, None)`, which
+/// replays its golden fresh, assembled into a result for rendering.
+fn uncached(jobs: &[Job]) -> CampaignResult {
+    CampaignResult {
+        rows: jobs
+            .iter()
+            .map(|j| CampaignRow {
+                job: j.clone(),
+                run: run_job(j, None).run_row(),
+                cached: false,
+            })
+            .collect(),
+        jobs_used: 1,
+        wall_ms: 0,
+        store: None,
+        golden: None,
+        golden_footprint: Vec::new(),
+    }
+}
+
 #[test]
 fn bytes_identical_with_cache_on_or_off_any_threads() {
     let jobs = matrix();
-    let reference = run_jobs_opts(jobs.clone(), 1, 1, None, false);
+    let reference = uncached(&jobs);
     assert!(reference.failures().is_empty(), "{}", reference.summary());
-    assert!(reference.golden.is_none(), "cache off reports no stats");
     let ref_csv = reference.to_csv();
     let ref_json = reference.to_json();
 
-    for (workers, sim_threads) in [(1, 1), (4, 1), (1, 2), (4, 2)] {
-        let cached = run_jobs_opts(jobs.clone(), workers, sim_threads, None, true);
-        assert_eq!(
-            cached.to_csv(),
-            ref_csv,
-            "workers={workers} sim_threads={sim_threads}"
-        );
-        assert_eq!(
-            cached.to_json(),
-            ref_json,
-            "workers={workers} sim_threads={sim_threads}"
-        );
-        let stats = cached.golden.expect("cache on reports stats");
+    for workers in WORKERS {
+        let cached = run_jobs(jobs.clone(), workers, None);
+        assert_eq!(cached.to_csv(), ref_csv, "workers={workers}");
+        assert_eq!(cached.to_json(), ref_json, "workers={workers}");
+        let stats = cached.golden.expect("the cache reports stats");
         assert_eq!(
             stats.computed, 2,
-            "one golden per base config (workers={workers} t={sim_threads}): {stats:?}"
+            "one golden per base config (workers={workers}): {stats:?}"
         );
         assert!(
             stats.reused >= 6,
@@ -93,35 +111,29 @@ fn bytes_identical_with_cache_on_or_off_any_threads() {
 #[test]
 fn store_persists_goldens_across_campaigns() {
     let jobs = matrix();
-    let (store, dir) = temp_store();
+    let ref_csv = uncached(&jobs).to_csv();
+    for workers in WORKERS {
+        let (store, dir) = temp_store();
 
-    let cold = run_jobs_opts(jobs.clone(), 2, 1, Some(&store), true);
-    let cold_csv = cold.to_csv();
-    let g = cold.golden.expect("stats present");
-    assert_eq!((g.computed, g.from_store), (2, 0), "{g:?}");
+        let cold = run_jobs(jobs.clone(), workers, Some(&store));
+        assert_eq!(cold.to_csv(), ref_csv, "workers={workers}");
+        let g = cold.golden.expect("stats present");
+        assert_eq!((g.computed, g.from_store), (2, 0), "{g:?}");
 
-    // A later campaign with cold *rows* but warm *goldens* — the
-    // cross-shard / cross-campaign case — must simulate zero goldens.
-    for j in &jobs {
-        store.remove(&store.key(j)).expect("drop row object");
+        // A later campaign with cold *rows* but warm *goldens* — the
+        // cross-shard / cross-campaign case — must simulate zero goldens.
+        for j in &jobs {
+            store.remove(&store.key(j)).expect("drop row object");
+        }
+        let warm = run_jobs(jobs.clone(), workers, Some(&store));
+        assert_eq!(warm.to_csv(), ref_csv, "warm-golden bytes diverged");
+        let g = warm.golden.expect("stats present");
+        assert_eq!(g.computed, 0, "goldens must come from the store: {g:?}");
+        assert_eq!(g.from_store, 2, "{g:?}");
+        assert!(g.reused >= 6, "{g:?}");
+
+        std::fs::remove_dir_all(&dir).ok();
     }
-    let warm = run_jobs_opts(jobs.clone(), 2, 1, Some(&store), true);
-    assert_eq!(warm.to_csv(), cold_csv, "warm-golden bytes diverged");
-    let g = warm.golden.expect("stats present");
-    assert_eq!(g.computed, 0, "goldens must come from the store: {g:?}");
-    assert_eq!(g.from_store, 2, "{g:?}");
-    assert!(g.reused >= 6, "{g:?}");
-
-    // Same again with the overlap scheduler: a store-warm golden must
-    // fall through to the single-threaded path with identical bytes.
-    for j in &jobs {
-        store.remove(&store.key(j)).expect("drop row object");
-    }
-    let overlapped = run_jobs_opts(jobs.clone(), 2, 2, Some(&store), true);
-    assert_eq!(overlapped.to_csv(), cold_csv);
-    assert_eq!(overlapped.golden.expect("stats").computed, 0);
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -130,58 +142,64 @@ fn corrupt_golden_objects_self_heal() {
         .into_iter()
         .filter(|j| j.app == "Blackscholes")
         .collect();
-    let (store, dir) = temp_store();
+    let ref_csv = uncached(&jobs).to_csv();
+    for workers in WORKERS {
+        let (store, dir) = temp_store();
 
-    let cold = run_jobs_opts(jobs.clone(), 1, 1, Some(&store), true);
-    let cold_csv = cold.to_csv();
+        let cold = run_jobs(jobs.clone(), workers, Some(&store));
+        assert_eq!(cold.to_csv(), ref_csv, "workers={workers}");
 
-    // Corrupt the stored golden in place (the documented fan-out layout:
-    // DIR/<2 hex>/<30 hex>.golden) and drop the rows so judging must
-    // consult it again.
-    let gkey = store.golden_key(&jobs[1]);
-    let gpath = dir.join(&gkey[..2]).join(format!("{}.golden", &gkey[2..]));
-    assert!(gpath.is_file(), "cold campaign persisted the golden");
-    std::fs::write(
-        &gpath,
-        "rebound-store golden v1\nclean,,9,9,9,9,9,9,1\n7,7\nen",
-    )
-    .unwrap();
-    for j in &jobs {
-        store.remove(&store.key(j)).expect("drop row object");
+        // Corrupt the stored golden in place (the documented fan-out
+        // layout: DIR/<2 hex>/<30 hex>.golden) and drop the rows so
+        // judging must consult it again.
+        let gkey = store.golden_key(&jobs[1]);
+        let gpath = dir.join(&gkey[..2]).join(format!("{}.golden", &gkey[2..]));
+        assert!(gpath.is_file(), "cold campaign persisted the golden");
+        std::fs::write(
+            &gpath,
+            "rebound-store golden v1\nclean,,9,9,9,9,9,9,1\n7,7\nen",
+        )
+        .unwrap();
+        for j in &jobs {
+            store.remove(&store.key(j)).expect("drop row object");
+        }
+
+        let healed = run_jobs(jobs.clone(), workers, Some(&store));
+        assert_eq!(healed.to_csv(), ref_csv, "corrupt golden changed bytes");
+        let g = healed.golden.expect("stats present");
+        assert_eq!(
+            (g.computed, g.from_store),
+            (1, 0),
+            "a corrupt object is a miss that recomputes: {g:?}"
+        );
+
+        // And the recompute overwrote the corpse: next time it loads
+        // clean.
+        for j in &jobs {
+            store.remove(&store.key(j)).expect("drop row object");
+        }
+        let reread = run_jobs(jobs.clone(), workers, Some(&store));
+        assert_eq!(reread.to_csv(), ref_csv);
+        let g = reread.golden.expect("stats present");
+        assert_eq!((g.computed, g.from_store), (0, 1), "{g:?}");
+
+        std::fs::remove_dir_all(&dir).ok();
     }
-
-    let healed = run_jobs_opts(jobs.clone(), 1, 1, Some(&store), true);
-    assert_eq!(healed.to_csv(), cold_csv, "corrupt golden changed bytes");
-    let g = healed.golden.expect("stats present");
-    assert_eq!(
-        (g.computed, g.from_store),
-        (1, 0),
-        "a corrupt object is a miss that recomputes: {g:?}"
-    );
-
-    // And the recompute overwrote the corpse: next time it loads clean.
-    for j in &jobs {
-        store.remove(&store.key(j)).expect("drop row object");
-    }
-    let reread = run_jobs_opts(jobs, 1, 1, Some(&store), true);
-    assert_eq!(reread.to_csv(), cold_csv);
-    let g = reread.golden.expect("stats present");
-    assert_eq!((g.computed, g.from_store), (0, 1), "{g:?}");
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The stock smoke spec through the public entry points: cache on/off
-/// byte-identity holds for a real `CampaignSpec` expansion too, and the
-/// summary line carries the goldens fragment only when the cache ran.
+/// The stock smoke spec through the public entry point: byte-identity
+/// with the uncached reference holds for a real `CampaignSpec`
+/// expansion too, and the summary line carries the goldens fragment.
 #[test]
 fn smoke_spec_summary_reports_goldens() {
     let mut spec = CampaignSpec::smoke();
     spec.apps.truncate(1);
     let jobs = spec.expand();
-    let on = run_jobs_opts(jobs.clone(), 2, 1, None, true);
-    let off = run_jobs_opts(jobs, 2, 1, None, false);
-    assert_eq!(on.to_csv(), off.to_csv());
-    assert!(on.summary().contains("goldens: "), "{}", on.summary());
-    assert!(!off.summary().contains("goldens: "), "{}", off.summary());
+    let result = run_jobs(jobs.clone(), 2, None);
+    assert_eq!(result.to_csv(), uncached(&jobs).to_csv());
+    assert!(
+        result.summary().contains("goldens: "),
+        "{}",
+        result.summary()
+    );
 }

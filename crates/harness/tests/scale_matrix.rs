@@ -5,14 +5,14 @@
 //! `campaign-smoke` job's ignored tier; locally:
 //! `cargo test -p rebound-harness --release -- --ignored scale_matrix`.
 
-use rebound_harness::{default_jobs, run_campaign, CampaignSpec, OracleVerdict};
+use rebound_harness::{default_jobs, run_jobs, CampaignSpec, OracleVerdict};
 
 #[test]
 #[ignore = "runs the 256/1024-core scale matrix (64 jobs, oracle-checked); minutes in release"]
 fn scale_matrix_recovers_at_256_and_1024_cores() {
     let spec = CampaignSpec::scale();
     assert_eq!(spec.core_counts, vec![256, 1024]);
-    let result = run_campaign(&spec, default_jobs());
+    let result = run_jobs(spec.expand(), default_jobs(), None);
     assert!(
         result.failures().is_empty(),
         "scale failures: {}\n{}",

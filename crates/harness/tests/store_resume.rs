@@ -5,7 +5,7 @@
 //! `--shard i/n` CSVs reconstructs the unsharded CSV.
 
 use rebound_harness::store::content_key;
-use rebound_harness::{run_jobs_stored, run_jobs_with, CampaignSpec, Job, Shard, Store};
+use rebound_harness::{run_jobs, CampaignSpec, Job, Shard, Store};
 
 fn spec() -> CampaignSpec {
     let mut spec = CampaignSpec::smoke();
@@ -28,18 +28,18 @@ fn warm_store_recomputes_nothing_and_matches_cold_bytes() {
     let n = jobs.len();
     assert!(n >= 2, "need a non-trivial matrix");
 
-    let plain = run_jobs_with(jobs.clone(), 2, 1);
+    let plain = run_jobs(jobs.clone(), 2, None);
 
     // Cold: everything is a miss, everything gets persisted.
-    let cold = run_jobs_stored(jobs.clone(), 2, 1, Some(&store));
+    let cold = run_jobs(jobs.clone(), 2, Some(&store));
     let cold_stats = cold.store.as_ref().expect("stats with a store");
     assert_eq!((cold_stats.hits, cold_stats.recomputed), (0, n));
     assert_eq!(cold.to_csv(), plain.to_csv(), "store must not change bytes");
 
     // Warm: zero recomputes, byte-identical CSV and JSON — and also
-    // identical across different worker/sim-thread counts, which is what
-    // makes caching across those knobs sound.
-    let warm = run_jobs_stored(jobs.clone(), 4, 2, Some(&store));
+    // identical across different worker counts, which is what makes
+    // caching across them sound.
+    let warm = run_jobs(jobs.clone(), 4, Some(&store));
     let warm_stats = warm.store.as_ref().expect("stats with a store");
     assert_eq!((warm_stats.hits, warm_stats.recomputed), (n, 0));
     assert_eq!(warm.to_csv(), cold.to_csv());
@@ -56,13 +56,13 @@ fn invalidating_one_key_recomputes_exactly_that_job() {
     let jobs: Vec<Job> = spec().expand();
     let n = jobs.len();
 
-    run_jobs_stored(jobs.clone(), 2, 1, Some(&store));
+    run_jobs(jobs.clone(), 2, Some(&store));
 
     // Drop one object — the moral equivalent of salting one key.
     let victim = &jobs[n / 2];
     assert!(store.remove(&store.key(victim)).expect("remove"));
 
-    let rerun = run_jobs_stored(jobs.clone(), 2, 1, Some(&store));
+    let rerun = run_jobs(jobs.clone(), 2, Some(&store));
     let stats = rerun.store.as_ref().expect("stats");
     assert_eq!((stats.hits, stats.recomputed), (n - 1, 1));
     for row in &rerun.rows {
@@ -86,14 +86,14 @@ fn invalidating_one_key_recomputes_exactly_that_job() {
 #[test]
 fn shard_union_reconstructs_the_unsharded_csv() {
     let jobs: Vec<Job> = spec().expand();
-    let whole = run_jobs_with(jobs.clone(), 2, 1);
+    let whole = run_jobs(jobs.clone(), 2, None);
     let whole_csv = whole.to_csv();
 
     let mut body: Vec<(u64, String)> = Vec::new();
     let mut header = None;
     for index in 0..3 {
         let shard = Shard { index, of: 3 };
-        let part = run_jobs_with(shard.apply(jobs.clone()), 2, 1);
+        let part = run_jobs(shard.apply(jobs.clone()), 2, None);
         let csv = part.to_csv();
         let mut lines = csv.lines();
         let h = lines.next().expect("shard CSV has a header").to_string();

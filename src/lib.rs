@@ -55,7 +55,7 @@ pub use rebound_workloads as workloads;
 
 pub use rebound_core::{Machine, MachineConfig, RunReport, Scheme};
 pub use rebound_harness::{
-    run_campaign, CampaignResult, CampaignSpec, FaultPhase, FaultPlan, FaultSpec, FaultTrigger,
+    run_jobs, CampaignResult, CampaignSpec, FaultPhase, FaultPlan, FaultSpec, FaultTrigger,
     GoldenCache, GoldenSnapshot, Shard, Store,
 };
 pub use rebound_workloads::{all_profiles, profile_named, AppProfile};

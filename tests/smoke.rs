@@ -10,7 +10,7 @@
 //! hundred machines.
 
 use rebound::core::{Machine, MachineConfig, RunReport, Scheme};
-use rebound::harness::{default_jobs, run_campaign, CampaignSpec};
+use rebound::harness::{default_jobs, run_jobs, CampaignSpec};
 use rebound::workloads::profile_named;
 
 const SCHEMES: &[(&str, Scheme)] = &[
@@ -72,8 +72,8 @@ fn full_matrix_determinism_across_worker_counts() {
     // jobs=1 takes parallel_map's inline path; the other count always
     // spawns real workers — two genuinely different schedules even on a
     // 2-core runner.
-    let parallel = run_campaign(&spec, default_jobs().max(2));
-    let serial = run_campaign(&spec, 1);
+    let parallel = run_jobs(jobs.clone(), default_jobs().max(2), None);
+    let serial = run_jobs(jobs, 1, None);
     assert_eq!(
         parallel.to_csv(),
         serial.to_csv(),
