@@ -1,37 +1,29 @@
 //! Fig 6.1: average Interaction Set for Checkpointing, PARSEC + Apache,
 //! 24-processor runs, as a percentage of the machine — Global vs Rebound.
 
-use rebound_core::Scheme;
+use rebound_core::{RunReport, Scheme};
 use rebound_workloads::parsec_and_apache;
 
-use crate::{run_cells, CellSpec, ExpScale, Table};
+use crate::{ExpScale, Table};
 
-use super::PARSEC_CORES;
+use super::{each, grid, Section, PARSEC_CORES};
 
-/// Runs the experiment and returns the figure's data as a table. All
-/// (app × scheme) cells execute in parallel on the campaign harness.
-pub fn run(scale: ExpScale) -> Table {
-    let apps = parsec_and_apache();
-    let cells: Vec<CellSpec> = apps
-        .iter()
-        .flat_map(|p| [Scheme::GLOBAL, Scheme::REBOUND].map(|s| (p.clone(), s, PARSEC_CORES)))
-        .collect();
-    let reports = run_cells(&cells, scale);
+const SCHEMES: [Scheme; 2] = [Scheme::GLOBAL, Scheme::REBOUND];
 
-    let mut t = Table::new(["App", "Global ICHK %", "Rebound ICHK %"]);
-    let mut sum = 0.0;
-    let mut n = 0.0;
-    for (p, pair) in apps.iter().zip(reports.chunks(2)) {
-        let gp = 100.0 * pair[0].ichk_fraction();
-        let rp = 100.0 * pair[1].ichk_fraction();
-        sum += rp;
-        n += 1.0;
-        t.row([p.name.to_string(), format!("{gp:.0}"), format!("{rp:.1}")]);
-    }
-    t.row([
-        "Average".to_string(),
-        "100".to_string(),
-        format!("{:.1}", sum / n),
-    ]);
-    t
+/// The figure: one (Global, Rebound) pair of cells per app.
+pub const SECTION: Section = Section {
+    name: "fig6_1",
+    title: "Fig 6.1 — ICHK size, PARSEC/Apache, 24p",
+    cells: || grid(&parsec_and_apache(), &SCHEMES, |_| PARSEC_CORES),
+    table,
+};
+
+fn table(reports: &[&RunReport], _: ExpScale) -> Table {
+    let rows = parsec_and_apache().into_iter().zip(reports.chunks(2));
+    Table::with_average(
+        ["App", "Global ICHK %", "Rebound ICHK %"],
+        rows.map(|(p, pair)| (p.name, each(pair, |r| 100.0 * r.ichk_fraction()))),
+        // Global's set is the whole machine: 100 in every row, no decimals.
+        |i, v| format!("{v:.prec$}", prec = usize::from(i > 0)),
+    )
 }

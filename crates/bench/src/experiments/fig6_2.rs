@@ -2,35 +2,31 @@
 //! percentage of the machine, for (a) 32-processor and (b) 64-processor
 //! runs under Rebound.
 
-use rebound_core::Scheme;
-use rebound_workloads::splash2;
+use rebound_core::{RunReport, Scheme};
+use rebound_workloads::{splash2, AppProfile};
 
-use crate::{run_cells, CellSpec, ExpScale, Table};
+use crate::{Cell, ExpScale, Table};
 
-/// Runs the experiment and returns the figure's data as a table. All
-/// (app × core-count) cells execute in parallel on the campaign harness.
-pub fn run(scale: ExpScale) -> Table {
-    let apps = splash2();
-    let cells: Vec<CellSpec> = apps
-        .iter()
-        .flat_map(|p| [32, 64].map(|cores| (p.clone(), Scheme::REBOUND, cores)))
-        .collect();
-    let reports = run_cells(&cells, scale);
+use super::{each, Section};
 
-    let mut t = Table::new(["App", "ICHK % (32p)", "ICHK % (64p)"]);
-    let (mut s32, mut s64, mut n) = (0.0, 0.0, 0.0);
-    for (p, pair) in apps.iter().zip(reports.chunks(2)) {
-        let p32 = 100.0 * pair[0].ichk_fraction();
-        let p64 = 100.0 * pair[1].ichk_fraction();
-        s32 += p32;
-        s64 += p64;
-        n += 1.0;
-        t.row([p.name.to_string(), format!("{p32:.1}"), format!("{p64:.1}")]);
-    }
-    t.row([
-        "Average".to_string(),
-        format!("{:.1}", s32 / n),
-        format!("{:.1}", s64 / n),
-    ]);
-    t
+/// The figure: one Rebound cell per app at each of 32 and 64 cores.
+pub const SECTION: Section = Section {
+    name: "fig6_2",
+    title: "Fig 6.2 — ICHK size, SPLASH-2, 32p & 64p",
+    cells,
+    table,
+};
+
+fn cells() -> Vec<Cell> {
+    let row = |p: AppProfile| [32, 64].map(|n| Cell::clean(p.name, Scheme::REBOUND, n));
+    splash2().into_iter().flat_map(row).collect()
+}
+
+fn table(reports: &[&RunReport], _: ExpScale) -> Table {
+    let rows = splash2().into_iter().zip(reports.chunks(2));
+    Table::with_average(
+        ["App", "ICHK % (32p)", "ICHK % (64p)"],
+        rows.map(|(p, pair)| (p.name, each(pair, |r| 100.0 * r.ichk_fraction()))),
+        |_, v| format!("{v:.1}"),
+    )
 }

@@ -9,89 +9,46 @@
 use rebound_core::{RunReport, Scheme};
 use rebound_workloads::{parsec_and_apache, splash2, AppProfile};
 
-use crate::{run_cells, CellSpec, ExpScale, Table};
+use crate::Table;
 
-use super::{PARSEC_CORES, SPLASH_CORES};
+use super::{grid, overheads, paper_cores, Section};
 
-const SCHEMES: [Scheme; 4] = [
+/// Each app's row: the checkpoint-free baseline, then the four schemes.
+const ROW: [Scheme; 5] = [
+    Scheme::None,
     Scheme::GLOBAL,
     Scheme::GLOBAL_DWB,
     Scheme::REBOUND_NODWB,
     Scheme::REBOUND,
 ];
 
-/// Overheads of the four schemes relative to the baseline, given the five
-/// reports of one app's row (baseline first, then [`SCHEMES`] order).
-fn overheads_of(row: &[RunReport]) -> Vec<f64> {
-    let base = row[0].cycles as f64;
-    row[1..]
-        .iter()
-        .map(|r| 100.0 * (r.cycles as f64 - base) / base)
-        .collect()
-}
-
-/// The five cells of one app's row: the checkpoint-free baseline
-/// followed by [`SCHEMES`].
-fn row_cells(p: &AppProfile, cores: usize) -> Vec<CellSpec> {
-    std::iter::once((p.clone(), Scheme::None, cores))
-        .chain(SCHEMES.iter().map(|&s| (p.clone(), s, cores)))
-        .collect()
-}
-
-/// Overheads of the four schemes for one app, plus the baseline report.
-pub fn app_overheads(p: &AppProfile, cores: usize, scale: ExpScale) -> (Vec<f64>, RunReport) {
-    let row = run_cells(&row_cells(p, cores), scale);
-    (
-        overheads_of(&row),
-        row.into_iter().next().expect("baseline"),
-    )
-}
-
-fn suite_table(apps: Vec<AppProfile>, cores: usize, scale: ExpScale) -> Table {
-    // One row of cells per app: the checkpoint-free baseline plus all
-    // four schemes, all executed in parallel on the campaign harness.
-    let cells: Vec<CellSpec> = apps.iter().flat_map(|p| row_cells(p, cores)).collect();
-    let reports = run_cells(&cells, scale);
-
-    let mut t = Table::new([
-        "App",
-        "Global %",
-        "Global_DWB %",
-        "Rebound_NoDWB %",
-        "Rebound %",
-    ]);
-    let mut sums = [0.0f64; 4];
-    let mut n = 0.0;
-    for (p, row) in apps.iter().zip(reports.chunks(1 + SCHEMES.len())) {
-        let ovh = overheads_of(row);
-        for (s, v) in sums.iter_mut().zip(&ovh) {
-            *s += v;
-        }
-        n += 1.0;
-        t.row([
-            p.name.to_string(),
-            format!("{:.1}", ovh[0]),
-            format!("{:.1}", ovh[1]),
-            format!("{:.1}", ovh[2]),
-            format!("{:.1}", ovh[3]),
-        ]);
-    }
-    t.row([
-        "Average".to_string(),
-        format!("{:.1}", sums[0] / n),
-        format!("{:.1}", sums[1] / n),
-        format!("{:.1}", sums[2] / n),
-        format!("{:.1}", sums[3] / n),
-    ]);
-    t
-}
-
 /// Fig 6.3(a): 64-processor SPLASH-2 runs.
-pub fn run_splash(scale: ExpScale) -> Table {
-    suite_table(splash2(), SPLASH_CORES, scale)
-}
+pub const SPLASH: Section = Section {
+    name: "fig6_3a",
+    title: "Fig 6.3(a) — overhead, SPLASH-2 64p",
+    cells: || grid(&splash2(), &ROW, paper_cores),
+    table: |reports, _| suite_table(&splash2(), reports),
+};
 
 /// Fig 6.3(b): 24-processor PARSEC and Apache runs.
-pub fn run_parsec(scale: ExpScale) -> Table {
-    suite_table(parsec_and_apache(), PARSEC_CORES, scale)
+pub const PARSEC: Section = Section {
+    name: "fig6_3b",
+    title: "Fig 6.3(b) — overhead, PARSEC/Apache 24p",
+    cells: || grid(&parsec_and_apache(), &ROW, paper_cores),
+    table: |reports, _| suite_table(&parsec_and_apache(), reports),
+};
+
+fn suite_table(apps: &[AppProfile], reports: &[&RunReport]) -> Table {
+    let rows = apps.iter().zip(reports.chunks(ROW.len()));
+    Table::with_average(
+        [
+            "App",
+            "Global %",
+            "Global_DWB %",
+            "Rebound_NoDWB %",
+            "Rebound %",
+        ],
+        rows.map(|(p, row)| (p.name, overheads(row))),
+        |_, v| format!("{v:.1}"),
+    )
 }

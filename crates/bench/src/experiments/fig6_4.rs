@@ -5,14 +5,16 @@
 //! The paper finds both the Barrier optimization and delayed writebacks
 //! effective but *not additive*.
 
-use rebound_core::Scheme;
+use rebound_core::{RunReport, Scheme};
 use rebound_workloads::barrier_intensive;
 
-use crate::{run_cell, ExpScale, Table};
+use crate::{ExpScale, Table};
 
-use super::SPLASH_CORES;
+use super::{grid, overheads, paper_cores, Section};
 
-const SCHEMES: [Scheme; 5] = [
+/// Each app's row: the checkpoint-free baseline, then the five schemes.
+const ROW: [Scheme; 6] = [
+    Scheme::None,
     Scheme::GLOBAL,
     Scheme::REBOUND_NODWB,
     Scheme::REBOUND_NODWB_BARR,
@@ -20,40 +22,28 @@ const SCHEMES: [Scheme; 5] = [
     Scheme::REBOUND_BARR,
 ];
 
-/// Runs the experiment and returns the figure's data as a table.
-pub fn run(scale: ExpScale) -> Table {
-    let mut t = Table::new([
-        "App",
-        "Global %",
-        "R_NoDWB %",
-        "R_NoDWB_Barr %",
-        "Rebound %",
-        "R_Barr %",
-    ]);
-    let apps = barrier_intensive();
-    let mut sums = [0.0f64; 5];
-    let mut n = 0.0;
-    for p in &apps {
-        let cores = if p.suite == rebound_workloads::Suite::Splash2 {
-            SPLASH_CORES
-        } else {
-            super::PARSEC_CORES
-        };
-        let base = run_cell(p, Scheme::None, cores, scale);
-        let mut row = vec![p.name.to_string()];
-        for (i, &s) in SCHEMES.iter().enumerate() {
-            let r = run_cell(p, s, cores, scale);
-            let ovh = 100.0 * (r.cycles as f64 - base.cycles as f64) / base.cycles as f64;
-            sums[i] += ovh;
-            row.push(format!("{ovh:.1}"));
-        }
-        n += 1.0;
-        t.row(row);
-    }
-    let mut avg = vec!["Average".to_string()];
-    for s in sums {
-        avg.push(format!("{:.1}", s / n));
-    }
-    t.row(avg);
-    t
+/// The figure: each barrier-intensive app at its paper core count.
+pub const SECTION: Section = Section {
+    name: "fig6_4",
+    title: "Fig 6.4 — barrier optimization",
+    cells: || grid(&barrier_intensive(), &ROW, paper_cores),
+    table,
+};
+
+fn table(reports: &[&RunReport], _: ExpScale) -> Table {
+    let rows = barrier_intensive()
+        .into_iter()
+        .zip(reports.chunks(ROW.len()));
+    Table::with_average(
+        [
+            "App",
+            "Global %",
+            "R_NoDWB %",
+            "R_NoDWB_Barr %",
+            "Rebound %",
+            "R_Barr %",
+        ],
+        rows.map(|(p, row)| (p.name, overheads(row))),
+        |_, v| format!("{v:.1}"),
+    )
 }

@@ -7,14 +7,23 @@
 //! background, so IPCDelay becomes the main contributor and SyncDelay
 //! stays minor.
 
-use rebound_core::{Scheme, StallBreakdown};
-use rebound_workloads::{all_profiles, Suite};
+use rebound_core::{RunReport, Scheme, StallBreakdown};
+use rebound_workloads::all_profiles;
 
-use crate::{run_cell, ExpScale, Table};
+use crate::{ExpScale, Table};
 
-use super::{PARSEC_CORES, SPLASH_CORES};
+use super::{grid, paper_cores, Section};
 
 const SCHEMES: [Scheme; 3] = [Scheme::GLOBAL, Scheme::REBOUND_NODWB, Scheme::REBOUND];
+
+/// The figure: every app at its paper core count; each cell shows each
+/// category as % of Global's total.
+pub const SECTION: Section = Section {
+    name: "fig6_5",
+    title: "Fig 6.5 — overhead breakdown (Global=100)",
+    cells: || grid(&all_profiles(), &SCHEMES, paper_cores),
+    table,
+};
 
 fn fmt(b: &StallBreakdown, norm: f64) -> String {
     format!(
@@ -26,35 +35,19 @@ fn fmt(b: &StallBreakdown, norm: f64) -> String {
     )
 }
 
-/// Runs the experiment; cells show each category as % of Global's total.
-pub fn run(scale: ExpScale) -> Table {
+fn table(reports: &[&RunReport], _: ExpScale) -> Table {
     let mut t = Table::new(["App", "Global", "Rebound_NoDWB", "Rebound"]);
-    let mut agg: Vec<StallBreakdown> = vec![StallBreakdown::default(); 3];
-    for p in all_profiles() {
-        let cores = if p.suite == Suite::Splash2 {
-            SPLASH_CORES
-        } else {
-            PARSEC_CORES
-        };
+    let mut agg = [StallBreakdown::default(); 3];
+    for (p, row) in all_profiles().iter().zip(reports.chunks(SCHEMES.len())) {
+        let norm = row[0].metrics.breakdown.total().max(1) as f64;
         let mut cells = vec![p.name.to_string()];
-        let mut norm = 1.0;
-        for (i, &s) in SCHEMES.iter().enumerate() {
-            let r = run_cell(&p, s, cores, scale);
-            let b = r.metrics.breakdown;
-            if i == 0 {
-                norm = b.total().max(1) as f64;
-            }
-            agg[i].merge(&b);
-            cells.push(fmt(&b, norm));
+        for (a, r) in agg.iter_mut().zip(row) {
+            a.merge(&r.metrics.breakdown);
+            cells.push(fmt(&r.metrics.breakdown, norm));
         }
         t.row(cells);
     }
     let norm = agg[0].total().max(1) as f64;
-    t.row([
-        "Total".to_string(),
-        fmt(&agg[0], norm),
-        fmt(&agg[1], norm),
-        fmt(&agg[2], norm),
-    ]);
+    t.row(std::iter::once("Total".to_string()).chain(agg.iter().map(|b| fmt(b, norm))));
     t
 }

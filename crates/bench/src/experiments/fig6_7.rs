@@ -7,11 +7,11 @@
 //! Under Rebound only the I/O core's (small) interaction set pays, so the
 //! machine-wide average interval stays near the nominal one.
 
-use rebound_core::{IoPressure, Machine, Scheme};
-use rebound_engine::CoreId;
-use rebound_workloads::profile_named;
+use rebound_core::{RunReport, Scheme};
 
-use crate::{config_for, ExpScale, Table};
+use crate::{Cell, ExpScale, Kind, Table};
+
+use super::{each, Section};
 
 /// The five relatively-low-ICHK codes used for the study.
 pub const APPS: [&str; 5] = [
@@ -24,55 +24,34 @@ pub const APPS: [&str; 5] = [
 
 const CORES: usize = 64;
 
-fn avg_interval(scheme: Scheme, app: &str, io: bool, scale: ExpScale) -> f64 {
-    let p = profile_named(app).expect("known app");
-    let mut cfg = config_for(scheme, CORES, scale);
-    if io {
-        // The paper forces one checkpoint per half checkpoint-interval;
-        // with CPI ~3 the interval in cycles is ~3x the instruction count.
-        cfg.io = Some(IoPressure {
-            core: CoreId(0),
-            period_cycles: scale.interval * 3 / 2,
-        });
-    }
-    let r = Machine::from_profile(&cfg, &p, scale.quota).run_to_completion();
-    r.metrics.ckpt_intervals.mean()
+/// The figure; intervals are reported in cycles (millions).
+pub const SECTION: Section = Section {
+    name: "fig6_7",
+    title: "Fig 6.7 — output I/O impact",
+    cells,
+    table,
+};
+
+/// Each app's row: Global and Rebound, each without and with I/O.
+fn cells() -> Vec<Cell> {
+    let row = |app| {
+        [Scheme::GLOBAL, Scheme::REBOUND]
+            .map(|s| [Kind::Clean, Kind::Io].map(|k| Cell::clean(app, s, CORES).with(k)))
+    };
+    APPS.into_iter().flat_map(row).flatten().collect()
 }
 
-/// Runs the experiment; intervals are reported in cycles (millions).
-pub fn run(scale: ExpScale) -> Table {
-    let mut t = Table::new([
-        "App",
-        "Global (Mcyc)",
-        "Global-I/O (Mcyc)",
-        "Rebound (Mcyc)",
-        "Rebound-I/O (Mcyc)",
-    ]);
-    let mut sums = [0.0f64; 4];
-    for app in APPS {
-        let cells = [
-            avg_interval(Scheme::GLOBAL, app, false, scale),
-            avg_interval(Scheme::GLOBAL, app, true, scale),
-            avg_interval(Scheme::REBOUND, app, false, scale),
-            avg_interval(Scheme::REBOUND, app, true, scale),
-        ];
-        for (s, c) in sums.iter_mut().zip(&cells) {
-            *s += c;
-        }
-        t.row([
-            app.to_string(),
-            format!("{:.3}", cells[0] / 1e6),
-            format!("{:.3}", cells[1] / 1e6),
-            format!("{:.3}", cells[2] / 1e6),
-            format!("{:.3}", cells[3] / 1e6),
-        ]);
-    }
-    t.row([
-        "Average".to_string(),
-        format!("{:.3}", sums[0] / 5.0 / 1e6),
-        format!("{:.3}", sums[1] / 5.0 / 1e6),
-        format!("{:.3}", sums[2] / 5.0 / 1e6),
-        format!("{:.3}", sums[3] / 5.0 / 1e6),
-    ]);
-    t
+fn table(reports: &[&RunReport], _: ExpScale) -> Table {
+    let rows = APPS.into_iter().zip(reports.chunks(4));
+    Table::with_average(
+        [
+            "App",
+            "Global (Mcyc)",
+            "Global-I/O (Mcyc)",
+            "Rebound (Mcyc)",
+            "Rebound-I/O (Mcyc)",
+        ],
+        rows.map(|(app, row)| (app, each(row, |r| r.metrics.ckpt_intervals.mean()))),
+        |_, v| format!("{:.3}", v / 1e6),
+    )
 }

@@ -7,18 +7,25 @@
 //! time, and the Dep structures add ~1.3%), while Rebound improves ED² by
 //! ~27%.
 
-use rebound_core::Scheme;
+use rebound_core::{RunReport, Scheme};
 use rebound_power::EnergyParams;
 use rebound_workloads::splash2;
 
-use crate::{energy_of, run_cell, ExpScale, Table};
+use crate::{energy_of, ExpScale, Table};
 
-use super::SPLASH_CORES;
+use super::{grid, Section, SPLASH_CORES};
 
 const SCHEMES: [Scheme; 3] = [Scheme::GLOBAL, Scheme::REBOUND_NODWB, Scheme::REBOUND];
 
-/// Runs the experiment and returns average power plus the ED² comparison.
-pub fn run(scale: ExpScale) -> Table {
+/// The figure: average power plus the ED² comparison.
+pub const SECTION: Section = Section {
+    name: "fig6_8",
+    title: "Fig 6.8 — power",
+    cells: || grid(&splash2(), &SCHEMES, |_| SPLASH_CORES),
+    table,
+};
+
+fn table(reports: &[&RunReport], _: ExpScale) -> Table {
     let params = EnergyParams::default();
     let mut t = Table::new([
         "Scheme",
@@ -30,18 +37,11 @@ pub fn run(scale: ExpScale) -> Table {
     let mut power = [0.0f64; 3];
     let mut ed2 = [0.0f64; 3];
     let mut n = 0.0;
-    for p in splash2() {
-        let mut cell_e = [0.0f64; 3];
-        let mut cell_d = [0.0f64; 3];
-        for (i, &s) in SCHEMES.iter().enumerate() {
-            let r = run_cell(&p, s, SPLASH_CORES, scale);
-            let summary = energy_of(&r, &params);
+    for row in reports.chunks(SCHEMES.len()) {
+        for (i, r) in row.iter().enumerate() {
+            let summary = energy_of(r, &params);
             power[i] += summary.avg_power_w;
-            cell_e[i] = summary.energy.total();
-            cell_d[i] = summary.seconds;
-        }
-        for i in 0..3 {
-            ed2[i] += cell_e[i] * cell_d[i] * cell_d[i];
+            ed2[i] += summary.energy.total() * summary.seconds * summary.seconds;
         }
         n += 1.0;
     }

@@ -6,53 +6,40 @@
 //! Paper averages: +2.0% ICHK from false positives, 7.2 MB log,
 //! +4.2% coherence messages.
 
-use rebound_core::Scheme;
-use rebound_workloads::{all_profiles, Suite};
+use rebound_core::{RunReport, Scheme};
+use rebound_workloads::all_profiles;
 
-use crate::{run_cell, ExpScale, Table};
+use crate::{ExpScale, Table};
 
-use super::{PARSEC_CORES, SPLASH_CORES};
+use super::{grid, paper_cores, Section};
 
-/// Runs the characterization and returns the table (SPLASH-2 at 64
-/// processors, PARSEC/Apache at 24, as in the paper). Log sizes are
-/// rescaled to the paper's 4M-instruction interval for comparability.
-pub fn run(scale: ExpScale) -> Table {
-    let mut t = Table::new([
-        "App",
-        "ICHK FP increase %",
-        "Log size (MB @4M-inst)",
-        "Coher. msg increase %",
-    ]);
+/// The characterization: SPLASH-2 at 64 processors, PARSEC/Apache at
+/// 24, as in the paper. Log sizes are rescaled to the paper's
+/// 4M-instruction interval for comparability.
+pub const SECTION: Section = Section {
+    name: "table6_1",
+    title: "Table 6.1 — characterization",
+    cells: || grid(&all_profiles(), &[Scheme::REBOUND], paper_cores),
+    table,
+};
+
+fn table(reports: &[&RunReport], scale: ExpScale) -> Table {
     let rescale = 1.0 / scale.vs_paper();
-    let (mut fp, mut log, mut msg, mut n) = (0.0, 0.0, 0.0, 0.0);
-    for p in all_profiles() {
-        let cores = if p.suite == Suite::Splash2 {
-            SPLASH_CORES
-        } else {
-            PARSEC_CORES
-        };
-        let r = run_cell(&p, Scheme::REBOUND, cores, scale);
-        let fp_pct = r.metrics.ichk_fp_increase_percent();
+    let rows = all_profiles().into_iter().zip(reports).map(|(p, r)| {
         // Max per-processor interval bytes scaled to machine-wide MB at
         // the paper's interval length.
-        let log_mb = r.log_max_interval_bytes as f64 * cores as f64 * rescale / 1.0e6;
-        let msg_pct = r.msgs.dep_overhead_percent();
-        fp += fp_pct;
-        log += log_mb;
-        msg += msg_pct;
-        n += 1.0;
-        t.row([
-            p.name.to_string(),
-            format!("{fp_pct:.1}"),
-            format!("{log_mb:.1}"),
-            format!("{msg_pct:.1}"),
-        ]);
-    }
-    t.row([
-        "Average".to_string(),
-        format!("{:.1}", fp / n),
-        format!("{:.1}", log / n),
-        format!("{:.1}", msg / n),
-    ]);
-    t
+        let log_mb = r.log_max_interval_bytes as f64 * r.cores as f64 * rescale / 1.0e6;
+        let fp_pct = r.metrics.ichk_fp_increase_percent();
+        (p.name, vec![fp_pct, log_mb, r.msgs.dep_overhead_percent()])
+    });
+    Table::with_average(
+        [
+            "App",
+            "ICHK FP increase %",
+            "Log size (MB @4M-inst)",
+            "Coher. msg increase %",
+        ],
+        rows,
+        |_, v| format!("{v:.1}"),
+    )
 }

@@ -1,10 +1,15 @@
 //! Experiment harness for reproducing every table and figure of the paper.
 //!
-//! Each `src/bin/fig6_*.rs` / `table6_1.rs` binary regenerates one figure
-//! or table; `bin/reproduce` runs them all and emits `EXPERIMENTS.md`-ready
-//! output. The criterion benches under `benches/` exercise reduced-scale
-//! versions of the same experiments plus micro-benchmarks of the core data
-//! structures.
+//! `bin/reproduce` regenerates the evaluation (Figs 6.1–6.8, Table 6.1)
+//! from the section registry in [`experiments`]: each section names the
+//! [`Cell`]s it reads, and [`Runs`] simulates the union of the selected
+//! sections' cells, each distinct cell once, on the campaign harness's
+//! worker pool. `reproduce --only PREFIX` keeps the sections whose name
+//! starts with `PREFIX`. The other binaries vary machine parameters a
+//! `Cell` does not carry (`ablations`, `directory_orgs`, `nvm_sweep`,
+//! `swdep_compare`) or guard criterion results (`bench_guard`). The
+//! criterion benches under `benches/` exercise reduced-scale versions of
+//! the same experiments plus micro-benchmarks of the core data structures.
 //!
 //! # Scaling
 //!
@@ -18,9 +23,12 @@
 
 pub mod experiments;
 
-use rebound_core::{Machine, MachineConfig, RunReport, Scheme};
+use std::collections::{HashMap, HashSet};
+
+use rebound_core::{IoPressure, Machine, MachineConfig, RunReport, Scheme};
+use rebound_engine::{CoreId, Cycle};
 use rebound_power::{run_energy, ActivityCounts, EnergyParams, PowerSummary};
-use rebound_workloads::AppProfile;
+use rebound_workloads::profile_named;
 
 /// Experiment scale: checkpoint interval and per-core instruction quota.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,13 +69,22 @@ impl ExpScale {
         }
     }
 
-    /// Reads `REBOUND_SCALE` (`tiny` / `std` / `full`), defaulting to
-    /// [`ExpScale::standard`].
+    /// Reads `REBOUND_SCALE`: `tiny`, `std` or `full`, and
+    /// [`ExpScale::standard`] when unset. Any other value exits the
+    /// process with status 2, naming the accepted values, rather than
+    /// quietly running another scale.
     pub fn from_env() -> ExpScale {
         match std::env::var("REBOUND_SCALE").as_deref() {
+            Err(std::env::VarError::NotPresent) | Ok("std") => ExpScale::standard(),
             Ok("tiny") => ExpScale::tiny(),
             Ok("full") => ExpScale::full(),
-            _ => ExpScale::standard(),
+            _ => {
+                eprintln!(
+                    "REBOUND_SCALE={:?} is not a scale: use tiny, std or full, or leave it unset",
+                    std::env::var_os("REBOUND_SCALE").unwrap_or_default()
+                );
+                std::process::exit(2);
+            }
         }
     }
 
@@ -78,73 +95,142 @@ impl ExpScale {
     }
 }
 
-/// Builds the machine configuration for one experiment run.
+/// Builds the machine configuration for one experiment run, at
+/// [`MachineConfig::paper`]'s fixed seed.
 pub fn config_for(scheme: Scheme, cores: usize, scale: ExpScale) -> MachineConfig {
     let mut cfg = MachineConfig::paper(cores);
     cfg.scheme = scheme;
     cfg.ckpt_interval_insts = scale.interval;
     cfg.detect_latency = scale.detect_latency;
-    cfg.seed = std::env::var("REBOUND_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
     cfg
 }
 
-/// Runs one (profile, scheme, cores) cell.
-pub fn run_cell(profile: &AppProfile, scheme: Scheme, cores: usize, scale: ExpScale) -> RunReport {
-    let cfg = config_for(scheme, cores, scale);
-    Machine::from_profile(&cfg, profile, scale.quota).run_to_completion()
+/// What a [`Cell`]'s run adds to the fault-free machine.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Kind {
+    /// Fault-free, no forced checkpoints.
+    Clean,
+    /// Output-I/O pressure (Fig 6.7): core 0 forces a checkpoint every
+    /// `interval * 3 / 2` cycles — the paper's one per half checkpoint
+    /// interval, at a CPI of about 3.
+    Io,
+    /// One fault detected on core 0 at 55% of the clean twin's cycles
+    /// (Fig 6.6(c)): just before the second interval's checkpoints, when
+    /// the log holds nearly a full interval of writebacks.
+    Fault,
 }
 
-/// One (profile, scheme, cores) cell of an experiment matrix.
-pub type CellSpec = (AppProfile, Scheme, usize);
-
-/// Runs a whole matrix of cells on the campaign harness's worker pool,
-/// returning reports in cell order. Worker count comes from
-/// `REBOUND_JOBS` (default: all cores); results are independent of it,
-/// since every cell is reproducible from its own `(config, seed)`.
-pub fn run_cells(cells: &[CellSpec], scale: ExpScale) -> Vec<RunReport> {
-    rebound_harness::parallel_map(cells, rebound_harness::default_jobs(), |(p, s, c)| {
-        run_cell(p, *s, *c, scale)
-    })
+/// One simulation of the evaluation. Together with the scale, a cell
+/// determines its run, so equal cells are simulated once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Cell {
+    /// Catalog application name.
+    pub app: &'static str,
+    /// Checkpointing scheme.
+    pub scheme: Scheme,
+    /// Core count.
+    pub cores: usize,
+    /// Clean, I/O-pressured or faulty.
+    pub kind: Kind,
 }
 
-/// A run plus its checkpoint-free baseline, for overhead computation.
-#[derive(Clone, Debug)]
-pub struct OverheadCell {
-    /// The checkpointing run.
-    pub run: RunReport,
-    /// The same seed and workload without checkpointing.
-    pub base: RunReport,
-}
-
-impl OverheadCell {
-    /// Checkpointing overhead as a percentage of baseline execution time —
-    /// the y-axis of Figs 6.3/6.4/6.6(a).
-    pub fn overhead_percent(&self) -> f64 {
-        100.0 * (self.run.cycles as f64 - self.base.cycles as f64) / self.base.cycles as f64
+impl Cell {
+    /// A fault-free cell without I/O pressure.
+    pub fn clean(app: &'static str, scheme: Scheme, cores: usize) -> Cell {
+        Cell {
+            app,
+            scheme,
+            cores,
+            kind: Kind::Clean,
+        }
     }
 
-    /// Energy increase due to checkpointing, percent (Fig 6.6(b)).
-    pub fn energy_increase_percent(&self, params: &EnergyParams) -> f64 {
-        let e_run = energy_of(&self.run, params).energy.total();
-        let e_base = energy_of(&self.base, params).energy.total();
-        100.0 * (e_run - e_base) / e_base
+    /// The same configuration run as `kind`.
+    pub fn with(self, kind: Kind) -> Cell {
+        Cell { kind, ..self }
+    }
+
+    /// Simulates the cell. `clean` is the report of the cell's clean twin
+    /// (`self.with(Kind::Clean)`); only a fault cell reads it, to place
+    /// its fault.
+    pub fn run(&self, scale: ExpScale, clean: Option<&RunReport>) -> RunReport {
+        let mut cfg = config_for(self.scheme, self.cores, scale);
+        if self.kind == Kind::Io {
+            cfg.io = Some(IoPressure {
+                core: CoreId(0),
+                period_cycles: scale.interval * 3 / 2,
+            });
+        }
+        let p = profile_named(self.app).expect("catalog app");
+        let mut m = Machine::from_profile(&cfg, &p, scale.quota);
+        if self.kind == Kind::Fault {
+            let clean = clean.expect("a fault cell needs its clean twin's report");
+            m.schedule_fault_detection(CoreId(0), Cycle((clean.cycles as f64 * 0.55) as u64));
+        }
+        m.run_to_completion()
     }
 }
 
-/// Runs a scheme and its checkpoint-free baseline on the same seed.
-pub fn run_overhead(
-    profile: &AppProfile,
-    scheme: Scheme,
-    cores: usize,
+/// `cells` in first-occurrence order, each once.
+pub(crate) fn distinct(cells: impl IntoIterator<Item = Cell>) -> Vec<Cell> {
+    let mut seen = HashSet::new();
+    cells.into_iter().filter(|c| seen.insert(*c)).collect()
+}
+
+/// The reports of a set of cells, each distinct cell simulated once.
+#[derive(Debug)]
+pub struct Runs {
     scale: ExpScale,
-) -> OverheadCell {
-    OverheadCell {
-        run: run_cell(profile, scheme, cores, scale),
-        base: run_cell(profile, Scheme::None, cores, scale),
+    reports: HashMap<Cell, RunReport>,
+}
+
+impl Runs {
+    /// Simulates every distinct cell of `cells` on `workers` threads of
+    /// the campaign harness's pool, in two passes: the clean and I/O
+    /// cells, plus the clean twin of every fault cell; then the fault
+    /// cells, which read their twin's cycles. Reports do not depend on
+    /// `workers`, since every cell is reproducible from its own
+    /// configuration.
+    pub fn new(cells: &[Cell], scale: ExpScale, workers: usize) -> Runs {
+        let is_fault = |c: &Cell| c.kind == Kind::Fault;
+        let first = cells
+            .iter()
+            .map(|&c| if is_fault(&c) { c.with(Kind::Clean) } else { c });
+        let faults = cells.iter().copied().filter(is_fault);
+        let mut reports = HashMap::new();
+        for pass in [distinct(first), distinct(faults)] {
+            let out = rebound_harness::parallel_map(&pass, workers, |c| {
+                c.run(scale, reports.get(&c.with(Kind::Clean)))
+            });
+            reports.extend(pass.into_iter().zip(out));
+        }
+        Runs { scale, reports }
     }
+
+    /// How many distinct cells were simulated.
+    pub fn simulated(&self) -> usize {
+        self.reports.len()
+    }
+
+    /// The report of one simulated cell.
+    ///
+    /// # Panics
+    ///
+    /// If `cell` was not among the cells this was built from.
+    pub fn get(&self, cell: &Cell) -> &RunReport {
+        &self.reports[cell]
+    }
+
+    /// The reports of `cells`, in order.
+    pub(crate) fn of(&self, cells: &[Cell]) -> Vec<&RunReport> {
+        cells.iter().map(|c| self.get(c)).collect()
+    }
+}
+
+/// Checkpointing overhead of `run` as a percentage of its checkpoint-free
+/// `base`'s execution time — the y-axis of Figs 6.3, 6.4 and 6.6(a).
+pub fn overhead_pct(run: &RunReport, base: &RunReport) -> f64 {
+    100.0 * (run.cycles as f64 - base.cycles as f64) / base.cycles as f64
 }
 
 /// Extracts the power model's activity counts from a run.
@@ -189,6 +275,32 @@ impl Table {
         self.rows.push(cells.into_iter().map(Into::into).collect());
     }
 
+    /// A table of one row per `(label, values)` and a last `Average` row
+    /// of the column means; `fmt(column, value)` prints each value.
+    pub(crate) fn with_average<'a, S: Into<String>>(
+        header: impl IntoIterator<Item = S>,
+        rows: impl IntoIterator<Item = (&'a str, Vec<f64>)>,
+        fmt: impl Fn(usize, f64) -> String,
+    ) -> Table {
+        let mut t = Table::new(header);
+        let (mut sums, mut n) = (Vec::new(), 0.0);
+        let mut push = |label: &str, values: &[f64]| {
+            let cells = values.iter().enumerate().map(|(i, &v)| fmt(i, v));
+            t.row(std::iter::once(label.to_string()).chain(cells));
+        };
+        for (label, values) in rows {
+            sums.resize(values.len(), 0.0);
+            for (s, v) in sums.iter_mut().zip(&values) {
+                *s += v;
+            }
+            n += 1.0;
+            push(label, &values);
+        }
+        let means: Vec<f64> = sums.iter().map(|s| s / n).collect();
+        push("Average", &means);
+        t
+    }
+
     /// Renders the table as aligned text (also valid Markdown).
     pub fn render(&self) -> String {
         let ncols = self.header.len();
@@ -224,7 +336,6 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rebound_workloads::profile_named;
 
     #[test]
     fn scales_are_ordered() {
@@ -245,19 +356,19 @@ mod tests {
 
     #[test]
     fn tiny_overhead_cell_runs() {
-        let p = profile_named("Blackscholes").unwrap();
-        let cell = run_overhead(&p, Scheme::REBOUND, 4, ExpScale::tiny());
-        assert!(cell.base.cycles > 0);
-        assert!(cell.run.checkpoints > 0);
+        let run = Cell::clean("Blackscholes", Scheme::REBOUND, 4);
+        let base = Cell::clean("Blackscholes", Scheme::None, 4);
+        let runs = Runs::new(&[run, base], ExpScale::tiny(), 2);
+        assert!(runs.get(&base).cycles > 0);
+        assert!(runs.get(&run).checkpoints > 0);
         // Overhead is finite and sane.
-        let ovh = cell.overhead_percent();
+        let ovh = overhead_pct(runs.get(&run), runs.get(&base));
         assert!(ovh > -50.0 && ovh < 500.0, "overhead {ovh}%");
     }
 
     #[test]
     fn activity_counts_flow_to_energy() {
-        let p = profile_named("Blackscholes").unwrap();
-        let r = run_cell(&p, Scheme::REBOUND, 4, ExpScale::tiny());
+        let r = Cell::clean("Blackscholes", Scheme::REBOUND, 4).run(ExpScale::tiny(), None);
         let s = energy_of(&r, &EnergyParams::default());
         assert!(s.energy.total() > 0.0);
         assert!(s.energy.dep_hardware > 0.0, "Rebound has Dep activity");

@@ -1,16 +1,28 @@
-//! Tiny-scale smoke tests of every experiment module: each figure/table
-//! generator must produce a complete, well-formed table and respect the
-//! paper's first-order invariants even at smoke scale.
+//! Tiny-scale smoke tests of the figure registry: each section must
+//! produce a complete, well-formed table and respect the paper's
+//! first-order invariants even at smoke scale.
 
-use rebound_bench::{experiments as e, ExpScale};
+use std::sync::OnceLock;
 
-fn scale() -> ExpScale {
-    ExpScale::tiny()
-}
+use rebound_bench::experiments::{self as e, Section};
+use rebound_bench::{overhead_pct, Cell, ExpScale, Runs};
+use rebound_core::Scheme;
+use rebound_harness::default_jobs;
 
-fn rows(t: &rebound_bench::Table) -> Vec<Vec<String>> {
-    t.render()
+/// The sections the tests below read: they share cells, so their union
+/// is simulated once for all of them.
+const SMOKED: [&str; 5] = ["fig6_1", "fig6_2", "fig6_7", "fig6_8", "table6_1"];
+
+fn rows(s: &Section) -> Vec<Vec<String>> {
+    static RUNS: OnceLock<Runs> = OnceLock::new();
+    let runs = RUNS.get_or_init(|| {
+        let sections = e::select(&SMOKED).expect("section names");
+        let cells: Vec<Cell> = sections.iter().flat_map(|s| (s.cells)()).collect();
+        Runs::new(&cells, ExpScale::tiny(), default_jobs())
+    });
+    s.render(runs)
         .lines()
+        .filter(|l| l.starts_with('|'))
         .skip(2) // header + separator
         .map(|l| {
             l.split('|')
@@ -24,8 +36,7 @@ fn rows(t: &rebound_bench::Table) -> Vec<Vec<String>> {
 
 #[test]
 fn fig6_1_covers_parsec_and_apache() {
-    let t = e::fig6_1::run(scale());
-    let r = rows(&t);
+    let r = rows(&e::fig6_1::SECTION);
     assert_eq!(r.len(), 6, "5 apps + average");
     assert_eq!(r[0][0], "Blackscholes");
     assert_eq!(r[5][0], "Average");
@@ -39,8 +50,7 @@ fn fig6_1_covers_parsec_and_apache() {
 
 #[test]
 fn fig6_2_covers_splash_at_both_sizes() {
-    let t = e::fig6_2::run(scale());
-    let r = rows(&t);
+    let r = rows(&e::fig6_2::SECTION);
     assert_eq!(r.len(), 14, "13 apps + average");
     for row in &r {
         let p32: f64 = row[1].parse().unwrap();
@@ -52,21 +62,28 @@ fn fig6_2_covers_splash_at_both_sizes() {
 
 #[test]
 fn fig6_3_splash_has_all_schemes() {
-    // Use the per-app helper on one application to keep smoke time down.
-    let p = rebound_workloads::profile_named("Water-Sp").unwrap();
-    let (ovh, base) = e::fig6_3::app_overheads(&p, 16, scale());
-    assert_eq!(ovh.len(), 4);
+    // One application's row at 16 cores keeps smoke time down.
+    let cells = [
+        Scheme::None,
+        Scheme::GLOBAL,
+        Scheme::GLOBAL_DWB,
+        Scheme::REBOUND_NODWB,
+        Scheme::REBOUND,
+    ]
+    .map(|s| Cell::clean("Water-Sp", s, 16));
+    let runs = Runs::new(&cells, ExpScale::tiny(), default_jobs());
+    let base = runs.get(&cells[0]);
     assert!(base.cycles > 0);
-    for v in &ovh {
+    for c in &cells[1..] {
+        let v = overhead_pct(runs.get(c), base);
         assert!(v.is_finite());
-        assert!(*v > -20.0 && *v < 400.0, "overhead {v}% out of range");
+        assert!(v > -20.0 && v < 400.0, "overhead {v}% out of range");
     }
 }
 
 #[test]
 fn fig6_7_io_shrinks_global_interval() {
-    let t = e::fig6_7::run(scale());
-    let r = rows(&t);
+    let r = rows(&e::fig6_7::SECTION);
     assert_eq!(r.len(), 6, "5 apps + average");
     let avg = &r[5];
     let g: f64 = avg[1].parse().unwrap();
@@ -84,8 +101,7 @@ fn fig6_7_io_shrinks_global_interval() {
 
 #[test]
 fn fig6_8_power_orders_schemes() {
-    let t = e::fig6_8::run(scale());
-    let r = rows(&t);
+    let r = rows(&e::fig6_8::SECTION);
     assert_eq!(r.len(), 3);
     assert_eq!(r[0][0], "Global");
     let g: f64 = r[0][1].parse().unwrap();
@@ -101,8 +117,7 @@ fn fig6_8_power_orders_schemes() {
 
 #[test]
 fn table6_1_covers_all_18_apps() {
-    let t = e::table6_1::run(scale());
-    let r = rows(&t);
+    let r = rows(&e::table6_1::SECTION);
     assert_eq!(r.len(), 19, "18 apps + average");
     for row in &r {
         let fp: f64 = row[1].parse().unwrap();

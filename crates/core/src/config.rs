@@ -6,7 +6,7 @@ use rebound_mem::{CacheConfig, MemoryTiming};
 
 /// Which checkpointing scheme the machine runs — the configuration matrix
 /// of Fig 4.3(a).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// No checkpointing at all; the baseline that overhead is measured
     /// against.

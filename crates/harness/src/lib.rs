@@ -1,6 +1,6 @@
 //! Parallel experiment campaigns with a differential recovery oracle.
 //!
-//! The bench binaries reproduce individual figures; this crate runs
+//! The bench crate's `reproduce` regenerates the figures; this crate runs
 //! *campaigns*: a [`CampaignSpec`] names the cartesian product of
 //! checkpointing schemes × catalog applications × core counts × seeds ×
 //! fault plans, [`run_jobs`] executes its expansion on a `std::thread`
