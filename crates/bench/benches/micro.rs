@@ -31,7 +31,7 @@ fn bench_wsig(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            black_box(w.peek(LineAddr(i % 128)))
+            black_box(w.contains(LineAddr(i % 128)))
         });
     });
     g.bench_function("lookup_miss", |b| {
@@ -42,7 +42,7 @@ fn bench_wsig(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            black_box(w.peek(LineAddr(10_000 + i % 4096)))
+            black_box(w.contains(LineAddr(10_000 + i % 4096)))
         });
     });
     g.finish();

@@ -264,8 +264,6 @@ pub struct MachineConfig {
     /// Minimum cycles between background delayed writebacks (rate control,
     /// §4.1); the engine slows further when the memory backlog is high.
     pub drain_gap: u64,
-    /// Cycles a core waits before re-reading a contended lock/flag.
-    pub spin_retry: u64,
     /// Random backoff window after a Busy/Nack during checkpoint initiation
     /// (§3.3.4: "continues execution for a random number of cycles").
     pub backoff_cycles: u64,
@@ -306,7 +304,6 @@ impl MachineConfig {
             wsig_bits: 1024,
             wsig_hashes: 2,
             drain_gap: 16,
-            spin_retry: 50,
             backoff_cycles: 2_000,
             untracked_ranges: Vec::new(),
             io: None,

@@ -201,9 +201,8 @@ impl DepRegFile {
 
     /// WSIG membership by reverse age (§4.2, first event): checks the
     /// newest interval first and returns the index into the file of the
-    /// first set whose signature matches, if any. Counts false positives
-    /// in the matching set.
-    pub fn wsig_match_reverse_age(&mut self, addr: LineAddr) -> Option<usize> {
+    /// first set whose signature matches, if any.
+    pub fn wsig_match_reverse_age(&self, addr: LineAddr) -> Option<usize> {
         let mut order: Vec<usize> = (0..self.sets.len())
             .filter(|&i| self.sets[i].state != DepSetState::Free)
             .collect();
@@ -252,11 +251,6 @@ impl DepRegFile {
             .iter()
             .filter(|s| s.state != DepSetState::Free && s.interval >= from_interval)
             .fold(CoreSet::new(), |acc, s| acc.union(s.my_producers))
-    }
-
-    /// Total WSIG false-positive hits across sets.
-    pub fn false_positive_hits(&self) -> u64 {
-        self.sets.iter().map(|s| s.wsig.false_positive_hits()).sum()
     }
 
     /// Rollback reset (§3.3.5): clears *every* set and restarts the file

@@ -269,7 +269,9 @@ impl Machine {
                     l.state = MesiState::Shared;
                     l.delayed = false;
                 }
-                self.record_dependence(owner, requester, line, false);
+                if self.tracks_line(line) {
+                    self.record_dependence(owner, requester, line);
+                }
                 let mut e = self.dir.entry_mut(id);
                 e.set_owner(None);
                 e.set_dirty(false);
@@ -401,7 +403,9 @@ impl Machine {
                     let interval = self.cores[owner.index()].drain.interval;
                     self.memory_writeback(owner, line, value, interval, MemAccessClass::Checkpoint);
                 }
-                self.record_dependence(owner, writer, line, false);
+                if self.tracks_line(line) {
+                    self.record_dependence(owner, writer, line);
+                }
                 self.cores[owner.index()].l1.invalidate(line);
                 self.cores[owner.index()].l2.invalidate(line);
                 fetched = true;
@@ -446,106 +450,53 @@ impl Machine {
     /// The lazy "are you the last writer?" query (§3.3.2): the LW-ID
     /// processor checks its WSIGs in reverse age; a hit records the
     /// dependence, a miss sends NO_WR and clears the stale LW-ID. The
-    /// requester's MyProducers was already (optimistically) updated and is
-    /// allowed to stay a superset.
+    /// requester's MyProducers is (optimistically) updated either way and
+    /// is allowed to stay a superset.
     fn lw_query(&mut self, last_writer: CoreId, requester: CoreId, line: LineAddr, id: LineId) {
         self.msgs.record(MsgKind::LwQuery);
-        self.metrics.wsig_ops.incr();
-        let hit = {
-            let w = &mut self.cores[last_writer.index()];
-            w.dep.wsig_match_reverse_age(line)
-        };
-        let requester_bit = self.dep_bit_of(requester);
-        let writer_bit = self.dep_bit_of(last_writer);
-        match hit {
-            Some(set_idx) => {
-                self.msgs.record(MsgKind::LwAck);
-                self.cores[last_writer.index()]
-                    .dep
-                    .set_mut(set_idx)
-                    .my_consumers
-                    .insert(requester_bit);
-                // Oracle bookkeeping (exact, for the FP study).
-                if let Some(exact_idx) = self.cores[last_writer.index()]
-                    .dep
-                    .exact_match_reverse_age(line)
-                {
-                    self.cores[last_writer.index()]
-                        .dep
-                        .set_mut(exact_idx)
-                        .oracle_consumers
-                        .insert(requester_bit);
-                    self.cores[requester.index()]
-                        .dep
-                        .active_mut()
-                        .oracle_producers
-                        .insert(writer_bit);
-                }
-            }
-            None => {
-                self.msgs.record(MsgKind::NoWr);
-                self.dir.entry_mut(id).set_lw_id(None);
-            }
+        if self.record_dependence(last_writer, requester, line) {
+            self.msgs.record(MsgKind::LwAck);
+        } else {
+            self.msgs.record(MsgKind::NoWr);
+            self.dir.entry_mut(id).set_lw_id(None);
         }
-        // MyProducers is updated before the reply can arrive (§3.3.2).
-        self.cores[requester.index()]
-            .dep
-            .active_mut()
-            .my_producers
-            .insert(writer_bit);
     }
 
-    /// Dependence recording when the supplier itself forwards the data
-    /// (owner-forward paths): rides on existing protocol messages, so no
-    /// extra traffic is counted.
     /// Whether dependence tracking applies to `line` (scheme + runtime
     /// switch + untracked address ranges).
     pub(crate) fn tracks_line(&self, line: LineAddr) -> bool {
         self.tracks_addr(line.base(self.geom))
     }
 
-    fn record_dependence(
-        &mut self,
-        supplier: CoreId,
-        requester: CoreId,
-        line: LineAddr,
-        _count_extra: bool,
-    ) {
-        if supplier == requester || !self.tracks_line(line) {
-            return;
-        }
+    /// Records that `requester` consumed `line` from `supplier`: a WSIG
+    /// match in reverse age marks the requester in that Dep set's
+    /// MyConsumers (and, when the exact shadow agrees, in the oracle sets
+    /// of the FP study), and the requester's MyProducers always gains the
+    /// supplier — it is updated before any reply could arrive (§3.3.2).
+    /// Returns whether the WSIG matched. The owner-forward paths call this
+    /// directly: the dependence rides on their existing messages, so no
+    /// extra traffic is counted.
+    fn record_dependence(&mut self, supplier: CoreId, requester: CoreId, line: LineAddr) -> bool {
         self.metrics.wsig_ops.incr();
         let requester_bit = self.dep_bit_of(requester);
         let supplier_bit = self.dep_bit_of(supplier);
-        let hit = self.cores[supplier.index()]
-            .dep
-            .wsig_match_reverse_age(line);
+        let dep = &mut self.cores[supplier.index()].dep;
+        let hit = dep.wsig_match_reverse_age(line);
+        let mut exact = false;
         if let Some(set_idx) = hit {
-            self.cores[supplier.index()]
-                .dep
-                .set_mut(set_idx)
-                .my_consumers
-                .insert(requester_bit);
-            if let Some(exact_idx) = self.cores[supplier.index()]
-                .dep
-                .exact_match_reverse_age(line)
-            {
-                self.cores[supplier.index()]
-                    .dep
-                    .set_mut(exact_idx)
+            dep.set_mut(set_idx).my_consumers.insert(requester_bit);
+            if let Some(exact_idx) = dep.exact_match_reverse_age(line) {
+                dep.set_mut(exact_idx)
                     .oracle_consumers
                     .insert(requester_bit);
-                self.cores[requester.index()]
-                    .dep
-                    .active_mut()
-                    .oracle_producers
-                    .insert(supplier_bit);
+                exact = true;
             }
         }
-        self.cores[requester.index()]
-            .dep
-            .active_mut()
-            .my_producers
-            .insert(supplier_bit);
+        let active = self.cores[requester.index()].dep.active_mut();
+        if exact {
+            active.oracle_producers.insert(supplier_bit);
+        }
+        active.my_producers.insert(supplier_bit);
+        hit.is_some()
     }
 }

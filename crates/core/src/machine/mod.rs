@@ -569,9 +569,8 @@ impl Machine {
     }
 
     /// Directory footprint diagnostics: resident bytes of the packed
-    /// entry plane and spill-arena occupancy. Pairs with
-    /// [`Machine::queue_histogram`] as a post-run diagnosis surface, and
-    /// backs the footprint numbers quoted in README/ROADMAP.
+    /// entry plane and spill-arena occupancy. Backs the footprint numbers
+    /// quoted in README/ROADMAP.
     pub fn dir_footprint(&self) -> rebound_coherence::DirFootprint {
         self.dir.footprint()
     }
@@ -664,8 +663,14 @@ impl Machine {
     /// Schedules a transient fault to be *detected* at `core` at `at`.
     /// (§3.2: detection happens within L cycles of occurrence; the caller
     /// chooses the detection instant directly.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range or `at` is before [`Machine::now`]:
+    /// a detection in the past would rewind the clock.
     pub fn schedule_fault_detection(&mut self, core: CoreId, at: Cycle) {
         assert!(core.index() < self.cores.len(), "core out of range");
+        assert!(at >= self.now, "fault detection scheduled in the past");
         self.queue.push(at, Event::FaultDetect { core });
     }
 
@@ -957,6 +962,33 @@ impl Machine {
                 }
             );
         };
+        self.dispatch(t, ev);
+        true
+    }
+
+    /// Processes one event like [`Machine::step`] and describes it as
+    /// `"<cycle> <event>"`, plus the core's liveness, run state and busy
+    /// time for a `Step` (read before the event runs). Returns `None`
+    /// when the run is finished or the queue is empty (diagnostics).
+    pub fn trace_step(&mut self) -> Option<String> {
+        if self.is_finished() {
+            return None;
+        }
+        let (t, ev) = self.queue.pop()?;
+        let mut desc = format!("{:>9} {:?}", t.raw(), ev);
+        if let Event::Step { core, gen } = ev {
+            let c = &self.cores[core.index()];
+            let live = c.step_gen == gen;
+            desc = format!("{desc} live={live} run={:?} busy={}", c.run, c.busy_until);
+        }
+        self.dispatch(t, ev);
+        Some(desc)
+    }
+
+    /// Advances the clock to `t` and runs `ev`: stale `Step`, `DrainTick`
+    /// and `RetryCkpt` events (generation mismatch) are dropped, then
+    /// armed condition faults are polled.
+    fn dispatch(&mut self, t: Cycle, ev: Event) {
         debug_assert!(t >= self.now, "time went backwards");
         self.now = t;
         match ev {
@@ -983,7 +1015,6 @@ impl Machine {
         if !self.pending_faults.is_empty() {
             self.poll_pending_faults();
         }
-        true
     }
 
     /// Runs until finished and summarizes.
@@ -1238,160 +1269,6 @@ impl Machine {
     pub(crate) fn ckpt_unit(&self, core: CoreId) -> CoreSet {
         self.cluster_mates(core)
             .union(self.scheme_cluster_mates(core))
-    }
-}
-
-impl Machine {
-    /// Histogram of pending event kinds (diagnostics).
-    pub fn queue_histogram(&self) -> Vec<(String, usize)> {
-        use std::collections::HashMap;
-        let mut h: HashMap<String, usize> = HashMap::new();
-        for e in self.queue.iter_payloads() {
-            let k = match e {
-                Event::Step { .. } => "Step".to_string(),
-                Event::Proto { msg, .. } => format!("Proto::{:?}", std::mem::discriminant(msg)),
-                Event::DrainTick { .. } => "DrainTick".to_string(),
-                Event::RetryCkpt { .. } => "RetryCkpt".to_string(),
-                Event::RetryRotate { .. } => "RetryRotate".to_string(),
-                Event::FaultDetect { .. } => "FaultDetect".to_string(),
-                Event::IoTick => "IoTick".to_string(),
-            };
-            *h.entry(k).or_insert(0) += 1;
-        }
-        let mut v: Vec<_> = h.into_iter().collect();
-        // Most frequent first, ties broken by name: two runs of the same
-        // failing scenario must print byte-identical diagnoses, so the
-        // order can never depend on HashMap iteration.
-        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v
-    }
-}
-
-impl Machine {
-    /// Debug dump of the machine-level synchronization and episode state
-    /// (diagnostics; pairs with [`Machine::debug_roles`]).
-    pub fn debug_sync_state(&self) -> String {
-        let b = &self.barrier;
-        let mut s = format!(
-            "barrier: arrived={} gen={} waiters={} last={:?} barck_active={} \
-             barck_init={:?} barck_done={} release_gated={}\n",
-            b.arrived,
-            b.generation,
-            b.waiters.len(),
-            b.last_arrival,
-            b.barck_active,
-            b.barck_initiator,
-            b.barck_done,
-            b.release_gated,
-        );
-        s.push_str(&format!(
-            "global: active={} coordinator={:?} wb_done={} draining={}\n",
-            self.global.active, self.global.coordinator, self.global.wb_done, self.global.draining,
-        ));
-        let flags: Vec<String> = self
-            .cores
-            .iter()
-            .filter(|c| c.barck_arrived || c.barck_pending || c.barck_wb_done || c.barck_notified)
-            .map(|c| {
-                format!(
-                    "P{}(arr={} pend={} wb={} ntf={})",
-                    c.id.index(),
-                    c.barck_arrived,
-                    c.barck_pending,
-                    c.barck_wb_done,
-                    c.barck_notified
-                )
-            })
-            .collect();
-        s.push_str(&format!("barck core flags: {}\n", flags.join(" ")));
-        s
-    }
-
-    /// Debug dump of each core's protocol state (diagnostics).
-    pub fn debug_roles(&self) -> String {
-        let mut s = String::new();
-        for c in &self.cores {
-            s.push_str(&format!(
-                "P{}: run={:?} role={:?} drain={} gate={} insts={} epoch={}\n",
-                c.id.index(),
-                c.run,
-                match &c.role {
-                    EpisodeState::Idle => "Idle".to_string(),
-                    EpisodeState::Initiating(st) => format!(
-                        "Init(e{} ichk={} awaiting={} wbd={} started={})",
-                        st.epoch,
-                        st.ichk,
-                        st.expected.iter().map(|&c| c as u32).sum::<u32>(),
-                        st.wb_done,
-                        st.started
-                    ),
-                    r => format!("{r:?}"),
-                },
-                c.drain.active,
-                c.exec_gate,
-                c.insts,
-                c.ckpt_epoch,
-            ));
-        }
-        s
-    }
-}
-
-impl Machine {
-    /// Pops and describes one event without filtering (diagnostics).
-    pub fn trace_step(&mut self) -> Option<String> {
-        if self.is_finished() {
-            return None;
-        }
-        let desc = {
-            // Peek at the next event by popping manually.
-            let (t, ev) = self.queue.pop()?;
-            let d = format!("{:>9} {:?}", t.raw(), ev);
-            self.now = t;
-            match ev {
-                Event::Step { core, gen } => {
-                    let c = &self.cores[core.index()];
-                    let live = c.step_gen == gen;
-                    let d2 = format!("{d} live={live} run={:?} busy={}", c.run, c.busy_until);
-                    if live {
-                        self.exec_step(core);
-                    }
-                    d2
-                }
-                Event::Proto { to, msg } => {
-                    self.handle_proto(to, msg);
-                    d
-                }
-                Event::DrainTick { core, gen } => {
-                    if self.cores[core.index()].drain.gen == gen {
-                        self.drain_tick(core);
-                    }
-                    d
-                }
-                Event::RetryCkpt { core, gen } => {
-                    if self.cores[core.index()].retry_gen == gen {
-                        self.retry_initiation(core);
-                    }
-                    d
-                }
-                Event::RetryRotate { core } => {
-                    self.retry_rotation(core);
-                    d
-                }
-                Event::FaultDetect { core } => {
-                    self.handle_fault_detect(core);
-                    d
-                }
-                Event::IoTick => {
-                    self.handle_io_tick();
-                    d
-                }
-            }
-        };
-        if !self.pending_faults.is_empty() {
-            self.poll_pending_faults();
-        }
-        Some(desc)
     }
 }
 

@@ -33,7 +33,6 @@ pub struct Wsig {
     nbits: usize,
     hashes: usize,
     exact: FxHashSet<LineAddr>,
-    false_positive_hits: u64,
 }
 
 /// Two independent SplitMix64 finalizations of `addr`, feeding the
@@ -65,7 +64,6 @@ impl Wsig {
             nbits,
             hashes,
             exact: FxHashSet::default(),
-            false_positive_hits: 0,
         }
     }
 
@@ -81,19 +79,10 @@ impl Wsig {
         self.exact.insert(addr);
     }
 
-    /// Bloom membership test — the answer the *hardware* gives. A `true`
-    /// for a line not actually written is counted as a false-positive hit.
-    pub fn contains(&mut self, addr: LineAddr) -> bool {
-        let hit = self.peek(addr);
-        if hit && !self.exact.contains(&addr) {
-            self.false_positive_hits += 1;
-        }
-        hit
-    }
-
-    /// Non-mutating bloom test (no false-positive accounting).
+    /// Bloom membership test — the answer the *hardware* gives, possibly
+    /// `true` for a line never written.
     #[inline]
-    pub fn peek(&self, addr: LineAddr) -> bool {
+    pub fn contains(&self, addr: LineAddr) -> bool {
         let (h1, h2) = hash_pair(addr);
         let n = self.nbits as u64;
         (0..self.hashes as u64).all(|i| {
@@ -107,18 +96,8 @@ impl Wsig {
         self.exact.contains(&addr)
     }
 
-    /// Lines actually written this interval.
-    pub fn exact_len(&self) -> usize {
-        self.exact.len()
-    }
-
-    /// Queries answered `true` for lines never written (so far).
-    pub fn false_positive_hits(&self) -> u64 {
-        self.false_positive_hits
-    }
-
     /// Clears the signature — done "at the beginning of every checkpoint
-    /// interval" (§3.3.2). False-positive accounting survives clears.
+    /// interval" (§3.3.2).
     pub fn clear(&mut self) {
         self.bits.iter_mut().for_each(|w| *w = 0);
         self.exact.clear();
@@ -152,16 +131,15 @@ mod tests {
 
     #[test]
     fn empty_signature_matches_nothing() {
-        let mut w = Wsig::new(1024, 2);
+        let w = Wsig::new(1024, 2);
         for i in 0..1000 {
             assert!(!w.contains(LineAddr(i)));
         }
-        assert_eq!(w.false_positive_hits(), 0);
         assert!(w.is_empty());
     }
 
     #[test]
-    fn clear_resets_membership_but_not_fp_stats() {
+    fn clear_resets_membership() {
         let mut w = Wsig::new(64, 2);
         for i in 0..200 {
             w.insert(LineAddr(i));
@@ -174,11 +152,9 @@ mod tests {
             }
         }
         assert!(fp > 0, "a saturated 64-bit filter must alias");
-        assert_eq!(w.false_positive_hits(), fp);
         w.clear();
         assert!(w.is_empty());
         assert!(!w.contains(LineAddr(5)));
-        assert_eq!(w.false_positive_hits(), fp, "stats survive clear");
     }
 
     #[test]
@@ -204,18 +180,6 @@ mod tests {
         w.insert(LineAddr(1));
         assert!(w.exact_contains(LineAddr(1)));
         assert!(!w.exact_contains(LineAddr(2)));
-        assert_eq!(w.exact_len(), 1);
-    }
-
-    #[test]
-    fn peek_does_not_count_fps() {
-        let mut w = Wsig::new(8, 4);
-        for i in 0..64 {
-            w.insert(LineAddr(i));
-        }
-        let before = w.false_positive_hits();
-        let _ = w.peek(LineAddr(9999));
-        assert_eq!(w.false_positive_hits(), before);
     }
 
     #[test]

@@ -16,6 +16,16 @@ fn machine(scheme: Scheme, seed: u64) -> Machine {
     Machine::from_profile(&cfg, &profile, 20_000)
 }
 
+/// A detection behind the clock would be popped first and rewind `now`.
+#[test]
+#[should_panic(expected = "fault detection scheduled in the past")]
+fn fault_detection_in_the_past_is_rejected() {
+    let mut m = machine(Scheme::REBOUND, 1);
+    m.run_until(Cycle(5_000));
+    let behind = Cycle(m.now().raw() - 1);
+    m.schedule_fault_detection(CoreId(0), behind);
+}
+
 #[test]
 fn observation_api_starts_quiet() {
     let m = machine(Scheme::REBOUND, 1);

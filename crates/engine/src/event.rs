@@ -5,13 +5,6 @@ use std::collections::BinaryHeap;
 
 use crate::clock::Cycle;
 
-/// Width of the near-future calendar ring, in cycles. Must be a power of
-/// two. Events within `RING` cycles of the queue's cursor go into O(1)
-/// per-cycle buckets; events further out wait in a spill heap. Nearly all
-/// simulator traffic (core steps, protocol hops, drain ticks) lands within
-/// a few hundred cycles, so the heap stays tiny.
-const RING: u64 = 4096;
-
 /// A time-ordered priority queue with FIFO tie-breaking.
 ///
 /// The whole simulated machine is driven by a single `EventQueue`: core
@@ -24,13 +17,12 @@ const RING: u64 = 4096;
 ///
 /// Payloads live in a slab arena and are addressed by slot index, so they
 /// are written once on `push` and read once on `pop` — they never move
-/// while the queue reorders itself. Timing metadata is kept in a calendar:
-/// a ring of width-one-cycle buckets covering the next `RING` cycles
-/// (same-cycle events batch into one contiguous bucket and pop in FIFO
-/// order with no comparisons), plus a small binary heap for the rare event
-/// scheduled further out. Both structures order events by `(time, seq)`
-/// where `seq` is a global insertion counter, so the pop order is exactly
-/// that of a naive stable priority queue.
+/// while the queue reorders itself (a machine event carries a 128-byte core
+/// set). The ordering is one binary heap of `(time, seq, slot)` keys, where
+/// `seq` is a global insertion counter, so the pop order is exactly that of
+/// a naive stable priority queue. A calendar ring of one-cycle buckets was
+/// measured against this heap on the repository benchmark and did not win,
+/// so the simpler structure stays.
 ///
 /// # Example
 ///
@@ -49,27 +41,9 @@ pub struct EventQueue<T> {
     /// Payload arena; `free` holds the indices of vacant slots.
     slots: Vec<Option<T>>,
     free: Vec<u32>,
-    /// Near-future calendar: bucket `b` holds the unique time `t` with
-    /// `t % RING == b` inside the window `[cursor, cursor + RING)`.
-    /// Entries are `(seq, slot)` in insertion (= seq) order; `head` is
-    /// the index of the next entry to pop.
-    buckets: Vec<Bucket>,
-    /// One bit per bucket: set iff the bucket has unpopped entries.
-    occupied: Vec<u64>,
-    /// Lower bound on the earliest pending time; the calendar window
-    /// starts here.
-    cursor: u64,
-    /// Pending events in the calendar ring.
-    near_len: usize,
-    /// Events at or beyond `cursor + RING`, ordered by `(time, seq)`.
-    far: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    /// Pending events as `(time, seq, slot)`, earliest first.
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
     seq: u64,
-}
-
-#[derive(Debug, Clone, Default)]
-struct Bucket {
-    q: Vec<(u64, u32)>,
-    head: usize,
 }
 
 impl<T> EventQueue<T> {
@@ -79,199 +53,58 @@ impl<T> EventQueue<T> {
     }
 
     /// Creates an empty queue with room for `capacity` pending events
-    /// before the payload arena reallocates. The machine pre-sizes its
-    /// queue to the steady-state event population (a few events per
-    /// core), so the first checkpoint storm does not pay a reallocation
-    /// cascade.
+    /// before the payload arena or the heap reallocates. The machine
+    /// pre-sizes its queue to the steady-state event population (a few
+    /// events per core), so the first checkpoint storm does not pay a
+    /// reallocation cascade.
     pub fn with_capacity(capacity: usize) -> EventQueue<T> {
         EventQueue {
             slots: Vec::with_capacity(capacity),
             free: Vec::new(),
-            buckets: (0..RING).map(|_| Bucket::default()).collect(),
-            occupied: vec![0u64; (RING as usize) / 64],
-            cursor: 0,
-            near_len: 0,
-            far: BinaryHeap::new(),
+            heap: BinaryHeap::with_capacity(capacity),
             seq: 0,
-        }
-    }
-
-    /// Number of events the queue can hold without reallocating its
-    /// payload arena.
-    pub fn capacity(&self) -> usize {
-        self.slots.capacity()
-    }
-
-    fn alloc_slot(&mut self, payload: T) -> u32 {
-        match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = Some(payload);
-                i
-            }
-            None => {
-                let i = self.slots.len() as u32;
-                self.slots.push(Some(payload));
-                i
-            }
         }
     }
 
     /// Schedules `payload` for delivery at time `at`.
     pub fn push(&mut self, at: Cycle, payload: T) {
-        let seq = self.seq;
+        let slot = match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = Some(payload);
+                i
+            }
+            None => {
+                self.slots.push(Some(payload));
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.heap.push(Reverse((at.raw(), self.seq, slot)));
         self.seq += 1;
-        let slot = self.alloc_slot(payload);
-        let t = at.raw();
-        if t < self.cursor {
-            // Scheduling into the past (never done by the machine, but
-            // legal API): rewind the window by spilling the whole ring
-            // into the far heap, then restart the calendar at `t`.
-            self.spill_ring();
-            self.cursor = t;
-        }
-        if t < self.cursor.saturating_add(RING) {
-            let b = (t % RING) as usize;
-            if self.buckets[b].q.is_empty() {
-                self.occupied[b / 64] |= 1u64 << (b % 64);
-            }
-            self.buckets[b].q.push((seq, slot));
-            self.near_len += 1;
-        } else {
-            self.far.push(Reverse((t, seq, slot)));
-        }
-    }
-
-    /// Moves every calendar entry into the far heap (rare slow path, used
-    /// only when a push rewinds the window).
-    fn spill_ring(&mut self) {
-        if self.near_len == 0 {
-            return;
-        }
-        let start = self.cursor % RING;
-        for b in 0..RING as usize {
-            let bucket = &mut self.buckets[b];
-            if bucket.q.is_empty() {
-                continue;
-            }
-            let t = self.cursor + ((b as u64 + RING - start) % RING);
-            for &(seq, slot) in &bucket.q[bucket.head..] {
-                self.far.push(Reverse((t, seq, slot)));
-            }
-            bucket.q.clear();
-            bucket.head = 0;
-        }
-        self.occupied.iter_mut().for_each(|w| *w = 0);
-        self.near_len = 0;
-    }
-
-    /// Offset from `cursor` of the earliest nonempty calendar bucket.
-    fn next_near_offset(&self) -> Option<u64> {
-        if self.near_len == 0 {
-            return None;
-        }
-        let start = (self.cursor % RING) as usize;
-        let nwords = self.occupied.len();
-        let (w0, b0) = (start / 64, start % 64);
-        // Circular first-set-bit scan beginning at `start`: the window is
-        // exactly one ring wide, so the first occupied bucket in circular
-        // order is the earliest pending near time.
-        for k in 0..=nwords {
-            let w = (w0 + k) % nwords;
-            let mut word = self.occupied[w];
-            if k == 0 {
-                word &= !0u64 << b0;
-            } else if k == nwords {
-                word &= (1u64 << b0) - 1;
-            }
-            if word != 0 {
-                let b = w * 64 + word.trailing_zeros() as usize;
-                return Some((b as u64 + RING - start as u64) % RING);
-            }
-        }
-        unreachable!("near_len > 0 but no occupied bucket");
-    }
-
-    /// The `(time, seq, from_near)` key of the earliest pending event.
-    fn next_key(&self) -> Option<(u64, u64, bool)> {
-        let near = self.next_near_offset().map(|off| {
-            let t = self.cursor + off;
-            let b = &self.buckets[(t % RING) as usize];
-            (t, b.q[b.head].0)
-        });
-        let far = self.far.peek().map(|&Reverse((t, s, _))| (t, s));
-        match (near, far) {
-            (Some((nt, ns)), Some((ft, fs))) => {
-                if (nt, ns) <= (ft, fs) {
-                    Some((nt, ns, true))
-                } else {
-                    Some((ft, fs, false))
-                }
-            }
-            (Some((t, s)), None) => Some((t, s, true)),
-            (None, Some((t, s))) => Some((t, s, false)),
-            (None, None) => None,
-        }
-    }
-
-    fn take_slot(&mut self, slot: u32) -> T {
-        self.free.push(slot);
-        self.slots[slot as usize]
-            .take()
-            .expect("queue slot holds a payload")
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Cycle, T)> {
-        let (t, _, from_near) = self.next_key()?;
-        let slot = if from_near {
-            let b = (t % RING) as usize;
-            let bucket = &mut self.buckets[b];
-            let (_, slot) = bucket.q[bucket.head];
-            bucket.head += 1;
-            if bucket.head == bucket.q.len() {
-                bucket.q.clear();
-                bucket.head = 0;
-                self.occupied[b / 64] &= !(1u64 << (b % 64));
-            }
-            self.near_len -= 1;
-            slot
-        } else {
-            let Reverse((_, _, slot)) = self.far.pop().expect("far heap has the next event");
-            slot
-        };
-        // `t` is the new minimum pending time: slide the calendar window
-        // forward so pushes near `t` stay in O(1) buckets.
-        self.cursor = t;
-        Some((Cycle(t), self.take_slot(slot)))
+        let Reverse((t, _, slot)) = self.heap.pop()?;
+        self.free.push(slot);
+        let payload = self.slots[slot as usize]
+            .take()
+            .expect("queue slot holds a payload");
+        Some((Cycle(t), payload))
     }
 
     /// The delivery time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Cycle> {
-        self.next_key().map(|(t, _, _)| Cycle(t))
+        self.heap.peek().map(|&Reverse((t, _, _))| Cycle(t))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.near_len + self.far.len()
+        self.heap.len()
     }
 
     /// Whether there are no pending events.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every pending event.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        for b in &mut self.buckets {
-            b.q.clear();
-            b.head = 0;
-        }
-        self.occupied.iter_mut().for_each(|w| *w = 0);
-        self.near_len = 0;
-        self.far.clear();
-        self.cursor = 0;
+        self.heap.is_empty()
     }
 }
 
@@ -281,16 +114,13 @@ impl<T> Default for EventQueue<T> {
     }
 }
 
-impl<T> EventQueue<T> {
-    /// Iterates over pending payloads in arbitrary order (diagnostics).
-    pub fn iter_payloads(&self) -> impl Iterator<Item = &T> {
-        self.slots.iter().filter_map(Option::as_ref)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The width of the calendar ring these schedules were written
+    /// against; its boundaries stay useful as awkward time offsets.
+    const RING: u64 = 4096;
 
     #[test]
     fn orders_by_time() {
@@ -325,11 +155,11 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_queue() {
+    fn draining_empties_queue() {
         let mut q = EventQueue::new();
         q.push(Cycle(1), ());
         q.push(Cycle(2), ());
-        q.clear();
+        while q.pop().is_some() {}
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
     }
